@@ -116,8 +116,9 @@ bench-check:
 	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -benchtime=3x . \
 		| $(GO) run ./cmd/benchjson -check BENCH_PR4.json -threshold 50
 
+# Every artefact of the table at quick scale, through the CLI.
 experiments:
-	$(GO) run ./cmd/experiments -scale quick
+	$(GO) run ./cmd/experiments -scale quick -progress=false
 
 clean:
 	rm -rf .build BENCH.json BENCH_BACKENDS.json BENCH_CLOUDLOAD.json BENCH_ARMSRACE.json

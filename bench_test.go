@@ -9,7 +9,9 @@ import (
 
 	"cloudskulk"
 	"cloudskulk/internal/cpu"
+	"cloudskulk/internal/experiments"
 	"cloudskulk/internal/mem"
+	"cloudskulk/internal/scenario"
 )
 
 // Each benchmark regenerates one of the paper's tables or figures at the
@@ -28,7 +30,7 @@ func benchOptions(i int) cloudskulk.ExperimentOptions {
 // BenchmarkTable1CVEInventory regenerates Table I.
 func BenchmarkTable1CVEInventory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := cloudskulk.Table1CVE()
+		res := experiments.Table1CVE()
 		if res.Render() == "" {
 			b.Fatal("empty table")
 		}
@@ -40,7 +42,7 @@ func BenchmarkTable1CVEInventory(b *testing.B) {
 func BenchmarkFigure2KernelCompile(b *testing.B) {
 	var l0, l1, l2 float64
 	for i := 0; i < b.N; i++ {
-		res, err := cloudskulk.Figure2KernelCompile(benchOptions(i))
+		res, err := experiments.Figure2KernelCompile(benchOptions(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +60,7 @@ func BenchmarkFigure3Netperf(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := benchOptions(i)
 		o.Runs = 5 // the paper averages 5 netperf runs
-		res, err := cloudskulk.Figure3Netperf(o)
+		res, err := experiments.Figure3Netperf(o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,12 +77,12 @@ func BenchmarkFigure3Netperf(b *testing.B) {
 func BenchmarkFigure4MigrationTiming(b *testing.B) {
 	var idle, fb, kc, idleFlat float64
 	for i := 0; i < b.N; i++ {
-		res, err := cloudskulk.Figure4Migration(benchOptions(i))
+		res, err := experiments.Figure4Migration(benchOptions(i))
 		if err != nil {
 			b.Fatal(err)
 		}
 		cell := func(w string, k string) float64 {
-			c, ok := res.Cell(w, cloudskulk.MigrationKind(k))
+			c, ok := res.Cell(w, experiments.MigrationKind(k))
 			if !ok || len(c.Seconds) == 0 {
 				b.Fatalf("missing cell %s/%s", w, k)
 			}
@@ -102,7 +104,7 @@ func BenchmarkFigure4MigrationTiming(b *testing.B) {
 func BenchmarkTable2LmbenchArith(b *testing.B) {
 	var intDivL2 float64
 	for i := 0; i < b.N; i++ {
-		res := cloudskulk.Table2Arithmetic(benchOptions(i))
+		res := experiments.Table2Arithmetic(benchOptions(i))
 		for j, op := range res.Ops {
 			if op == "integer div" {
 				intDivL2 = res.Nanos[cpu.L2][j]
@@ -117,7 +119,7 @@ func BenchmarkTable2LmbenchArith(b *testing.B) {
 func BenchmarkTable3LmbenchProc(b *testing.B) {
 	var pipeL2, forkL2 float64
 	for i := 0; i < b.N; i++ {
-		res := cloudskulk.Table3Processes(benchOptions(i))
+		res := experiments.Table3Processes(benchOptions(i))
 		for j, op := range res.Ops {
 			switch op {
 			case "pipe latency":
@@ -136,7 +138,7 @@ func BenchmarkTable3LmbenchProc(b *testing.B) {
 func BenchmarkTable4LmbenchFile(b *testing.B) {
 	var create4kL2 float64
 	for i := 0; i < b.N; i++ {
-		res := cloudskulk.Table4FileOps(benchOptions(i))
+		res := experiments.Table4FileOps(benchOptions(i))
 		for j, label := range res.Labels {
 			if label == "file create 4K" {
 				create4kL2 = res.PerSec[cpu.L2][j]
@@ -252,7 +254,7 @@ func BenchmarkRootkitInstall(b *testing.B) {
 func BenchmarkArmsRaceSyncCountermeasure(b *testing.B) {
 	var evades, traps float64
 	for i := 0; i < b.N; i++ {
-		res, err := cloudskulk.ArmsRaceSyncCountermeasure(benchOptions(i))
+		res, err := experiments.ArmsRaceSyncCountermeasure(benchOptions(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -278,7 +280,7 @@ func BenchmarkArmsRaceSyncCountermeasure(b *testing.B) {
 func BenchmarkArmsRaceMatrix(b *testing.B) {
 	var caught, cells, pairs float64
 	for i := 0; i < b.N; i++ {
-		res, err := cloudskulk.ArmsRaceMatrix(benchOptions(i))
+		res, err := scenario.RunMatrix(scenario.MatrixConfig{Seed: int64(i + 1), GuestMemMB: 16})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,7 +301,7 @@ func BenchmarkArmsRaceMatrix(b *testing.B) {
 func BenchmarkMultiTenantSurvey(b *testing.B) {
 	var correct float64
 	for i := 0; i < b.N; i++ {
-		res, err := cloudskulk.MultiTenantSurvey(benchOptions(i), 3, 1)
+		res, err := experiments.MultiTenantSurvey(benchOptions(i), 3, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -316,7 +318,7 @@ func BenchmarkMultiTenantSurvey(b *testing.B) {
 func BenchmarkRemediationDrill(b *testing.B) {
 	var outage float64
 	for i := 0; i < b.N; i++ {
-		res, err := cloudskulk.RemediationDrill(benchOptions(i))
+		res, err := experiments.RemediationDrill(benchOptions(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -333,7 +335,7 @@ func BenchmarkRemediationDrill(b *testing.B) {
 func BenchmarkWatchdogTimeToDetect(b *testing.B) {
 	var ttd float64
 	for i := 0; i < b.N; i++ {
-		res, err := cloudskulk.TimeToDetect(benchOptions(i), 10*time.Minute)
+		res, err := experiments.TimeToDetect(benchOptions(i), 10*time.Minute)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -348,7 +350,7 @@ func BenchmarkWatchdogTimeToDetect(b *testing.B) {
 func BenchmarkAblationExitMultiplier(b *testing.B) {
 	var at18 float64
 	for i := 0; i < b.N; i++ {
-		res := cloudskulk.AblationExitMultiplier(benchOptions(i), []int{1, 4, 9, 18, 36, 72})
+		res := experiments.AblationExitMultiplier(benchOptions(i), []int{1, 4, 9, 18, 36, 72})
 		at18 = res.PipeL2Us[3]
 	}
 	b.ReportMetric(at18, "pipe-L2-at-18-us")
@@ -359,7 +361,7 @@ func BenchmarkAblationExitMultiplier(b *testing.B) {
 func BenchmarkAblationDirtyRate(b *testing.B) {
 	var knee float64
 	for i := 0; i < b.N; i++ {
-		res, err := cloudskulk.AblationDirtyRate(benchOptions(i),
+		res, err := experiments.AblationDirtyRate(benchOptions(i),
 			[]float64{100, 2000, 4000, 6000, 7000, 7500, 7900})
 		if err != nil {
 			b.Fatal(err)
@@ -373,7 +375,7 @@ func BenchmarkAblationDirtyRate(b *testing.B) {
 func BenchmarkAblationKSMScanRate(b *testing.B) {
 	var okAt float64
 	for i := 0; i < b.N; i++ {
-		res, err := cloudskulk.AblationKSMWait(benchOptions(i), []time.Duration{
+		res, err := experiments.AblationKSMWait(benchOptions(i), []time.Duration{
 			10 * time.Millisecond, 100 * time.Millisecond, time.Second, 15 * time.Second,
 		})
 		if err != nil {
@@ -395,7 +397,7 @@ func BenchmarkAblationKSMScanRate(b *testing.B) {
 func BenchmarkAblationProbeSize(b *testing.B) {
 	var all float64
 	for i := 0; i < b.N; i++ {
-		res, err := cloudskulk.AblationProbeSize(benchOptions(i), []int{1, 10, 100, 400})
+		res, err := experiments.AblationProbeSize(benchOptions(i), []int{1, 10, 100, 400})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -414,7 +416,7 @@ func BenchmarkAblationProbeSize(b *testing.B) {
 func BenchmarkAblationTimingGap(b *testing.B) {
 	var wrong float64
 	for i := 0; i < b.N; i++ {
-		res, err := cloudskulk.AblationTimingGap(benchOptions(i), []float64{31, 10, 4, 1})
+		res, err := experiments.AblationTimingGap(benchOptions(i), []float64{31, 10, 4, 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -435,7 +437,7 @@ func BenchmarkAblationTimingGap(b *testing.B) {
 func BenchmarkAblationMigrationFeatures(b *testing.B) {
 	var defaults, both float64
 	for i := 0; i < b.N; i++ {
-		res, err := cloudskulk.AblationMigrationFeatures(benchOptions(i))
+		res, err := experiments.AblationMigrationFeatures(benchOptions(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -451,7 +453,7 @@ func BenchmarkAblationMigrationFeatures(b *testing.B) {
 func BenchmarkAblationPrePostCopy(b *testing.B) {
 	var pre, post float64
 	for i := 0; i < b.N; i++ {
-		res, err := cloudskulk.AblationPrePostCopy(benchOptions(i))
+		res, err := experiments.AblationPrePostCopy(benchOptions(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -468,7 +470,7 @@ func BenchmarkFleetMigrationStorm(b *testing.B) {
 	var coverage, maxMig float64
 	for i := 0; i < b.N; i++ {
 		o := benchOptions(i)
-		res, err := cloudskulk.FleetMigrationStorm(o, []int{8}, []int{4}, []float64{0.5})
+		res, err := experiments.FleetMigrationStorm(o, []int{8}, []int{4}, []float64{0.5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -509,7 +511,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 				o := benchOptions(i)
 				o.Runs = 3
 				o.Workers = workers
-				if _, err := cloudskulk.Figure4Migration(o); err != nil {
+				if _, err := experiments.Figure4Migration(o); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cloudskulk"
+	"cloudskulk/internal/experiments"
 )
 
 // TestPublicAPIQuickstart exercises the README's quick-start flow through
@@ -59,30 +60,30 @@ func TestPublicAPICleanDetection(t *testing.T) {
 
 func TestPublicAPIExperiments(t *testing.T) {
 	o := cloudskulk.QuickExperimentOptions()
-	if out := cloudskulk.Table1CVE().Render(); !strings.Contains(out, "TABLE I") {
+	if out := experiments.Table1CVE().Render(); !strings.Contains(out, "TABLE I") {
 		t.Fatal("table1")
 	}
-	if _, err := cloudskulk.Figure2KernelCompile(o); err != nil {
+	if _, err := experiments.Figure2KernelCompile(o); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cloudskulk.Figure3Netperf(o); err != nil {
+	if _, err := experiments.Figure3Netperf(o); err != nil {
 		t.Fatal(err)
 	}
-	t2 := cloudskulk.Table2Arithmetic(o)
+	t2 := experiments.Table2Arithmetic(o)
 	if len(t2.Ops) != 10 {
 		t.Fatal("table2")
 	}
-	if got := cloudskulk.Table3Processes(o); len(got.Ops) != 8 {
+	if got := experiments.Table3Processes(o); len(got.Ops) != 8 {
 		t.Fatal("table3")
 	}
-	if got := cloudskulk.Table4FileOps(o); len(got.Labels) != 8 {
+	if got := experiments.Table4FileOps(o); len(got.Labels) != 8 {
 		t.Fatal("table4")
 	}
 }
 
 func TestPublicAPIExperimentExtensions(t *testing.T) {
 	o := cloudskulk.QuickExperimentOptions()
-	if res, err := cloudskulk.Figure4Migration(o); err != nil || len(res.Cells) != 6 {
+	if res, err := experiments.Figure4Migration(o); err != nil || len(res.Cells) != 6 {
 		t.Fatalf("fig4: %v", err)
 	}
 	if res, err := cloudskulk.Figure5DetectionClean(o); err != nil ||
@@ -93,48 +94,48 @@ func TestPublicAPIExperimentExtensions(t *testing.T) {
 		res.Verdict != cloudskulk.VerdictNested {
 		t.Fatalf("fig6: %v %v", res.Verdict, err)
 	}
-	if res, err := cloudskulk.MultiTenantSurvey(o, 2, 0); err != nil || !res.Correct() {
+	if res, err := experiments.MultiTenantSurvey(o, 2, 0); err != nil || !res.Correct() {
 		t.Fatalf("survey: %v", err)
 	}
-	if res, err := cloudskulk.RemediationDrill(o); err != nil ||
+	if res, err := experiments.RemediationDrill(o); err != nil ||
 		res.PostVerdict != cloudskulk.VerdictClean {
 		t.Fatalf("remediation: %v", err)
 	}
-	if res, err := cloudskulk.BaselineComparison(o); err != nil || len(res.Rows) != 3 {
+	if res, err := experiments.BaselineComparison(o); err != nil || len(res.Rows) != 3 {
 		t.Fatalf("baselines: %v", err)
 	}
-	if res, err := cloudskulk.ArmsRaceSyncCountermeasure(o); err != nil || len(res.Rows) != 6 {
+	if res, err := experiments.ArmsRaceSyncCountermeasure(o); err != nil || len(res.Rows) != 6 {
 		t.Fatalf("armsrace: %v", err)
 	}
-	if res, err := cloudskulk.AblationTimingGap(o, []float64{31}); err != nil ||
+	if res, err := experiments.AblationTimingGap(o, []float64{31}); err != nil ||
 		len(res.GapRatios) != 1 {
 		t.Fatalf("timing gap: %v", err)
 	}
-	if res, err := cloudskulk.AblationMigrationFeatures(o); err != nil ||
+	if res, err := experiments.AblationMigrationFeatures(o); err != nil ||
 		len(res.Variants) != 4 {
 		t.Fatalf("features: %v", err)
 	}
-	if res, err := cloudskulk.AblationPrePostCopy(o); err != nil ||
+	if res, err := experiments.AblationPrePostCopy(o); err != nil ||
 		res.PreCopySeconds <= 0 {
 		t.Fatalf("prepost: %v", err)
 	}
-	if res, err := cloudskulk.AblationDirtyRate(o, []float64{100, 4000}); err != nil ||
+	if res, err := experiments.AblationDirtyRate(o, []float64{100, 4000}); err != nil ||
 		len(res.Seconds) != 2 {
 		t.Fatalf("dirty rate: %v", err)
 	}
-	if res, err := cloudskulk.AblationProbeSize(o, []int{5}); err != nil ||
+	if res, err := experiments.AblationProbeSize(o, []int{5}); err != nil ||
 		len(res.Verdicts) != 1 {
 		t.Fatalf("probe size: %v", err)
 	}
-	if res, err := cloudskulk.AblationKSMWait(o, []time.Duration{10 * time.Second}); err != nil ||
+	if res, err := experiments.AblationKSMWait(o, []time.Duration{10 * time.Second}); err != nil ||
 		len(res.Verdicts) != 1 {
 		t.Fatalf("ksm wait: %v", err)
 	}
-	if res, err := cloudskulk.TimeToDetect(o, 5*time.Minute); err != nil ||
+	if res, err := experiments.TimeToDetect(o, 5*time.Minute); err != nil ||
 		res.TimeToDetect <= 0 {
 		t.Fatalf("ttd: %v", err)
 	}
-	if res := cloudskulk.AblationExitMultiplier(o, []int{18}); len(res.PipeL2Us) != 1 {
+	if res := experiments.AblationExitMultiplier(o, []int{18}); len(res.PipeL2Us) != 1 {
 		t.Fatal("exit multiplier")
 	}
 }

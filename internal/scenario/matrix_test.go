@@ -1,68 +1,22 @@
 package scenario
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"testing"
 	"time"
 )
 
-func sha(s string) string {
-	h := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(h[:])
-}
-
-// matrixGoldenHashes pins SHA-256 of the full coverage-matrix artefact
-// (every registered backend × 5 generated strategies × 3 detectors) per
-// seed. The test also requires the artefact to be byte-identical for any
-// worker count, so one hash covers both.
-var matrixGoldenHashes = map[string]string{
-	"armsrace-matrix/seed=1": "b85dcb0f2f73f815ee3d2ef355f17abddf06df7f2eee7a14bb25db8cf350ebac",
-	"armsrace-matrix/seed=7": "b59b7db0d980500fc9bc4af8e4c7e02bc34ff897c85337b009dd453592cb9d54",
-}
-
-func testMatrixConfig(seed int64, workers int) MatrixConfig {
-	return MatrixConfig{Seed: seed, GuestMemMB: 16, Workers: workers}
-}
-
-// TestMatrixGolden: the coverage matrix renders byte-identically at
-// workers 1 and 8, hashes to its pinned value per seed, and demonstrates
-// the arms race — at least one generated strategy evades the KSM-timing
-// detector yet is caught by the invariant-checksum audit.
-func TestMatrixGolden(t *testing.T) {
+// TestMatrixEvasionPairs: the coverage matrix demonstrates the arms race
+// at every pinned seed — at least one generated strategy evades the
+// KSM-timing detector yet is caught by the invariant-checksum audit. The
+// artefact's hash is pinned by internal/experiments' TestGoldenArtefactHashes.
+func TestMatrixEvasionPairs(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
-		serial, err := RunMatrix(testMatrixConfig(seed, 1))
+		res, err := RunMatrix(MatrixConfig{Seed: seed, GuestMemMB: 16, Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wide, err := RunMatrix(testMatrixConfig(seed, 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		art := serial.Render()
-		if wideArt := wide.Render(); wideArt != art {
-			t.Errorf("seed %d: workers=8 artefact differs from workers=1 (output depends on worker count)", seed)
-		}
-
-		name := "armsrace-matrix/seed=" + map[int64]string{1: "1", 7: "7"}[seed]
-		h := sha(art)
-		want, pinned := matrixGoldenHashes[name]
-		switch {
-		case !pinned:
-			t.Errorf("artefact %q missing from matrixGoldenHashes", name)
-		case want == "":
-			t.Logf("CAPTURE %q: %q,", name, h)
-		case h != want:
-			t.Errorf("artefact %s hash = %s, want %s", name, h, want)
-		}
-
-		if pairs := serial.EvasionPairs(); pairs < 1 {
-			t.Errorf("seed %d: no dedup-evading strategy caught by invariant-checksum\n%s", seed, art)
-		}
-	}
-	for name, want := range matrixGoldenHashes {
-		if want == "" {
-			t.Errorf("golden hash for %s not captured — run with -v and paste the CAPTURE lines", name)
+		if pairs := res.EvasionPairs(); pairs < 1 {
+			t.Errorf("seed %d: no dedup-evading strategy caught by invariant-checksum\n%s", seed, res.Render())
 		}
 	}
 }
