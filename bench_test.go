@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
 	"cloudskulk"
+	"cloudskulk/internal/artefacts"
 	"cloudskulk/internal/cpu"
 	"cloudskulk/internal/experiments"
 	"cloudskulk/internal/mem"
@@ -19,6 +19,9 @@ import (
 // headline numbers via b.ReportMetric, so `go test -bench` output doubles
 // as the reproduction record. ns/op measures how long the simulation
 // takes to produce the artefact, not the simulated quantity itself.
+//
+// A benchmark whose work is an artefact's full-scale run runs that row of
+// internal/artefacts, so the sweep grids live only in the table.
 
 func benchOptions(i int) cloudskulk.ExperimentOptions {
 	o := cloudskulk.DefaultExperimentOptions()
@@ -27,11 +30,25 @@ func benchOptions(i int) cloudskulk.ExperimentOptions {
 	return o
 }
 
+// runRow runs the named artefact at full scale and returns its result as
+// the entry point's result type R.
+func runRow[R any](b *testing.B, name string, o cloudskulk.ExperimentOptions) R {
+	b.Helper()
+	res, err := artefacts.Run(name, o, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, ok := res.(R)
+	if !ok {
+		b.Fatalf("%s: result is %T", name, res)
+	}
+	return r
+}
+
 // BenchmarkTable1CVEInventory regenerates Table I.
 func BenchmarkTable1CVEInventory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Table1CVE()
-		if res.Render() == "" {
+		if runRow[experiments.Table1Result](b, "table1", benchOptions(i)).Render() == "" {
 			b.Fatal("empty table")
 		}
 	}
@@ -42,10 +59,7 @@ func BenchmarkTable1CVEInventory(b *testing.B) {
 func BenchmarkFigure2KernelCompile(b *testing.B) {
 	var l0, l1, l2 float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure2KernelCompile(benchOptions(i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRow[experiments.Figure2Result](b, "fig2", benchOptions(i))
 		l0, l1, l2 = res.Mean(cpu.L0), res.Mean(cpu.L1), res.Mean(cpu.L2)
 	}
 	b.ReportMetric(l0, "L0-ccache-s")
@@ -60,10 +74,7 @@ func BenchmarkFigure3Netperf(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := benchOptions(i)
 		o.Runs = 5 // the paper averages 5 netperf runs
-		res, err := experiments.Figure3Netperf(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRow[experiments.Figure3Result](b, "fig3", o)
 		l0, l1, l2 = res.Mean(cpu.L0), res.Mean(cpu.L1), res.Mean(cpu.L2)
 	}
 	b.ReportMetric(l0, "L0-Mbps")
@@ -77,10 +88,7 @@ func BenchmarkFigure3Netperf(b *testing.B) {
 func BenchmarkFigure4MigrationTiming(b *testing.B) {
 	var idle, fb, kc, idleFlat float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure4Migration(benchOptions(i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRow[experiments.Figure4Result](b, "fig4", benchOptions(i))
 		cell := func(w string, k string) float64 {
 			c, ok := res.Cell(w, experiments.MigrationKind(k))
 			if !ok || len(c.Seconds) == 0 {
@@ -104,12 +112,8 @@ func BenchmarkFigure4MigrationTiming(b *testing.B) {
 func BenchmarkTable2LmbenchArith(b *testing.B) {
 	var intDivL2 float64
 	for i := 0; i < b.N; i++ {
-		res := experiments.Table2Arithmetic(benchOptions(i))
-		for j, op := range res.Ops {
-			if op == "integer div" {
-				intDivL2 = res.Nanos[cpu.L2][j]
-			}
-		}
+		res := runRow[experiments.LmbenchTable](b, "table2", benchOptions(i))
+		intDivL2 = res.Value(cpu.L2, "integer div")
 	}
 	b.ReportMetric(intDivL2, "int-div-L2-ns")
 }
@@ -119,15 +123,8 @@ func BenchmarkTable2LmbenchArith(b *testing.B) {
 func BenchmarkTable3LmbenchProc(b *testing.B) {
 	var pipeL2, forkL2 float64
 	for i := 0; i < b.N; i++ {
-		res := experiments.Table3Processes(benchOptions(i))
-		for j, op := range res.Ops {
-			switch op {
-			case "pipe latency":
-				pipeL2 = res.Micros[cpu.L2][j]
-			case "fork+ exit":
-				forkL2 = res.Micros[cpu.L2][j]
-			}
-		}
+		res := runRow[experiments.LmbenchTable](b, "table3", benchOptions(i))
+		pipeL2, forkL2 = res.Value(cpu.L2, "pipe latency"), res.Value(cpu.L2, "fork+ exit")
 	}
 	b.ReportMetric(pipeL2, "pipe-L2-us")
 	b.ReportMetric(forkL2, "fork-L2-us")
@@ -138,12 +135,8 @@ func BenchmarkTable3LmbenchProc(b *testing.B) {
 func BenchmarkTable4LmbenchFile(b *testing.B) {
 	var create4kL2 float64
 	for i := 0; i < b.N; i++ {
-		res := experiments.Table4FileOps(benchOptions(i))
-		for j, label := range res.Labels {
-			if label == "file create 4K" {
-				create4kL2 = res.PerSec[cpu.L2][j]
-			}
-		}
+		res := runRow[experiments.LmbenchTable](b, "table4", benchOptions(i))
+		create4kL2 = res.Value(cpu.L2, "file create 4K")
 	}
 	b.ReportMetric(create4kL2, "create4K-L2-ops/s")
 }
@@ -153,10 +146,7 @@ func BenchmarkTable4LmbenchFile(b *testing.B) {
 func BenchmarkFigure5DetectNoNested(b *testing.B) {
 	var t0, t1, t2 float64
 	for i := 0; i < b.N; i++ {
-		res, err := cloudskulk.Figure5DetectionClean(benchOptions(i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRow[cloudskulk.DetectionResult](b, "fig5", benchOptions(i))
 		if res.Verdict != cloudskulk.VerdictClean {
 			b.Fatalf("verdict = %v", res.Verdict)
 		}
@@ -173,10 +163,7 @@ func BenchmarkFigure5DetectNoNested(b *testing.B) {
 func BenchmarkFigure6DetectNested(b *testing.B) {
 	var t0, t1, t2 float64
 	for i := 0; i < b.N; i++ {
-		res, err := cloudskulk.Figure6DetectionInfected(benchOptions(i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRow[cloudskulk.DetectionResult](b, "fig6", benchOptions(i))
 		if res.Verdict != cloudskulk.VerdictNested {
 			b.Fatalf("verdict = %v", res.Verdict)
 		}
@@ -254,10 +241,7 @@ func BenchmarkRootkitInstall(b *testing.B) {
 func BenchmarkArmsRaceSyncCountermeasure(b *testing.B) {
 	var evades, traps float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.ArmsRaceSyncCountermeasure(benchOptions(i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRow[experiments.ArmsRaceResult](b, "armsrace", benchOptions(i))
 		evades, traps = 0, 0
 		for _, row := range res.Rows {
 			if row.Attacker == "track all guest RAM" {
@@ -280,10 +264,7 @@ func BenchmarkArmsRaceSyncCountermeasure(b *testing.B) {
 func BenchmarkArmsRaceMatrix(b *testing.B) {
 	var caught, cells, pairs float64
 	for i := 0; i < b.N; i++ {
-		res, err := scenario.RunMatrix(scenario.MatrixConfig{Seed: int64(i + 1), GuestMemMB: 16})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRow[*scenario.MatrixResult](b, "armsrace-matrix", benchOptions(i))
 		caught, cells = 0, float64(len(res.Cells))
 		for _, c := range res.Cells {
 			if c.Caught {
@@ -301,10 +282,7 @@ func BenchmarkArmsRaceMatrix(b *testing.B) {
 func BenchmarkMultiTenantSurvey(b *testing.B) {
 	var correct float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.MultiTenantSurvey(benchOptions(i), 3, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRow[experiments.SurveyResult](b, "survey", benchOptions(i))
 		correct = 0
 		if res.Correct() {
 			correct = 1
@@ -318,10 +296,7 @@ func BenchmarkMultiTenantSurvey(b *testing.B) {
 func BenchmarkRemediationDrill(b *testing.B) {
 	var outage float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RemediationDrill(benchOptions(i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRow[experiments.RemediationResult](b, "remediation", benchOptions(i))
 		if res.PostVerdict != cloudskulk.VerdictClean {
 			b.Fatalf("post verdict = %v", res.PostVerdict)
 		}
@@ -335,11 +310,7 @@ func BenchmarkRemediationDrill(b *testing.B) {
 func BenchmarkWatchdogTimeToDetect(b *testing.B) {
 	var ttd float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.TimeToDetect(benchOptions(i), 10*time.Minute)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ttd = res.TimeToDetect.Seconds()
+		ttd = runRow[experiments.TimeToDetectResult](b, "watchdog", benchOptions(i)).TimeToDetect.Seconds()
 	}
 	b.ReportMetric(ttd, "time-to-detect-s")
 }
@@ -350,7 +321,7 @@ func BenchmarkWatchdogTimeToDetect(b *testing.B) {
 func BenchmarkAblationExitMultiplier(b *testing.B) {
 	var at18 float64
 	for i := 0; i < b.N; i++ {
-		res := experiments.AblationExitMultiplier(benchOptions(i), []int{1, 4, 9, 18, 36, 72})
+		res := runRow[experiments.AblationExitMultiplierResult](b, "ablate-exitmult", benchOptions(i))
 		at18 = res.PipeL2Us[3]
 	}
 	b.ReportMetric(at18, "pipe-L2-at-18-us")
@@ -361,11 +332,7 @@ func BenchmarkAblationExitMultiplier(b *testing.B) {
 func BenchmarkAblationDirtyRate(b *testing.B) {
 	var knee float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationDirtyRate(benchOptions(i),
-			[]float64{100, 2000, 4000, 6000, 7000, 7500, 7900})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRow[experiments.AblationDirtyRateResult](b, "ablate-dirtyrate", benchOptions(i))
 		knee = res.Seconds[len(res.Seconds)-1] / res.Seconds[0]
 	}
 	b.ReportMetric(knee, "slowdown-at-7900/s")
@@ -375,12 +342,7 @@ func BenchmarkAblationDirtyRate(b *testing.B) {
 func BenchmarkAblationKSMScanRate(b *testing.B) {
 	var okAt float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationKSMWait(benchOptions(i), []time.Duration{
-			10 * time.Millisecond, 100 * time.Millisecond, time.Second, 15 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRow[experiments.AblationKSMRateResult](b, "ablate-ksmwait", benchOptions(i))
 		okAt = -1
 		for j, v := range res.Verdicts {
 			if v == cloudskulk.VerdictClean {
@@ -397,10 +359,7 @@ func BenchmarkAblationKSMScanRate(b *testing.B) {
 func BenchmarkAblationProbeSize(b *testing.B) {
 	var all float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationProbeSize(benchOptions(i), []int{1, 10, 100, 400})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRow[experiments.AblationProbeSizeResult](b, "ablate-probesize", benchOptions(i))
 		all = 1
 		for _, v := range res.Verdicts {
 			if v != cloudskulk.VerdictNested {
@@ -416,10 +375,7 @@ func BenchmarkAblationProbeSize(b *testing.B) {
 func BenchmarkAblationTimingGap(b *testing.B) {
 	var wrong float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationTimingGap(benchOptions(i), []float64{31, 10, 4, 1})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRow[experiments.AblationTimingGapResult](b, "ablate-timinggap", benchOptions(i))
 		wrong = 0
 		for j := range res.GapRatios {
 			if res.Clean[j] == cloudskulk.VerdictNested ||
@@ -437,10 +393,7 @@ func BenchmarkAblationTimingGap(b *testing.B) {
 func BenchmarkAblationMigrationFeatures(b *testing.B) {
 	var defaults, both float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationMigrationFeatures(benchOptions(i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRow[experiments.AblationMigrationFeaturesResult](b, "ablate-migfeatures", benchOptions(i))
 		defaults = res.Seconds[0]
 		both = res.Seconds[len(res.Seconds)-1]
 	}
@@ -453,10 +406,7 @@ func BenchmarkAblationMigrationFeatures(b *testing.B) {
 func BenchmarkAblationPrePostCopy(b *testing.B) {
 	var pre, post float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationPrePostCopy(benchOptions(i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRow[experiments.AblationPrePostCopyResult](b, "ablate-prepost", benchOptions(i))
 		pre, post = res.PreCopySeconds, res.PostCopySeconds
 	}
 	b.ReportMetric(pre, "precopy-install-s")
@@ -487,11 +437,7 @@ func BenchmarkFleetMigrationStorm(b *testing.B) {
 func BenchmarkCloudLoad(b *testing.B) {
 	var p99ms, rejectPct float64
 	for i := 0; i < b.N; i++ {
-		o := benchOptions(i)
-		res, err := cloudskulk.CloudLoad(o, cloudskulk.DefaultCloudLoadConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRow[*cloudskulk.CloudLoadResult](b, "cloudload", benchOptions(i))
 		p99ms = float64(res.P99us) / 1000
 		rejectPct = 100 * float64(res.AdmissionRejects) / float64(res.Mutations)
 	}

@@ -69,15 +69,14 @@ func TestPublicAPIExperiments(t *testing.T) {
 	if _, err := experiments.Figure3Netperf(o); err != nil {
 		t.Fatal(err)
 	}
-	t2 := experiments.Table2Arithmetic(o)
-	if len(t2.Ops) != 10 {
-		t.Fatal("table2")
+	if got, err := experiments.Table2Arithmetic(o); err != nil || len(got.Ops) != 10 {
+		t.Fatalf("table2: %v", err)
 	}
-	if got := experiments.Table3Processes(o); len(got.Ops) != 8 {
-		t.Fatal("table3")
+	if got, err := experiments.Table3Processes(o); err != nil || len(got.Ops) != 8 {
+		t.Fatalf("table3: %v", err)
 	}
-	if got := experiments.Table4FileOps(o); len(got.Labels) != 8 {
-		t.Fatal("table4")
+	if got, err := experiments.Table4FileOps(o); err != nil || len(got.Ops) != 8 {
+		t.Fatalf("table4: %v", err)
 	}
 }
 
@@ -135,8 +134,8 @@ func TestPublicAPIExperimentExtensions(t *testing.T) {
 		res.TimeToDetect <= 0 {
 		t.Fatalf("ttd: %v", err)
 	}
-	if res := experiments.AblationExitMultiplier(o, []int{18}); len(res.PipeL2Us) != 1 {
-		t.Fatal("exit multiplier")
+	if res, err := experiments.AblationExitMultiplier(o, []int{18}); err != nil || len(res.PipeL2Us) != 1 {
+		t.Fatalf("exit multiplier: %v", err)
 	}
 }
 

@@ -183,7 +183,9 @@ func compare(baseline, current []Benchmark) []Comparison {
 }
 
 // check reports benchmarks whose ns/op regressed more than threshold
-// percent against the baseline's after-numbers.
+// percent against the baseline's after-numbers, and every baseline
+// benchmark the current run lacks: a renamed or deleted benchmark must
+// not pass the gate by going unmeasured.
 func check(baseline *Report, current []Benchmark, thresholdPct float64) []string {
 	ref := baseline.Benchmarks
 	base := byName(ref)
@@ -197,6 +199,12 @@ func check(baseline *Report, current []Benchmark, thresholdPct float64) []string
 		if pct > thresholdPct {
 			failures = append(failures, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (+%.1f%% > %.1f%%)",
 				b.Name, b.NsPerOp, prev.NsPerOp, pct, thresholdPct))
+		}
+	}
+	ran := byName(current)
+	for _, prev := range ref {
+		if _, ok := ran[prev.Name]; !ok {
+			failures = append(failures, fmt.Sprintf("%s: in the baseline but missing from this run", prev.Name))
 		}
 	}
 	return failures

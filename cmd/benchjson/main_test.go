@@ -84,6 +84,19 @@ func TestCheckFlagsRegressions(t *testing.T) {
 	}
 }
 
+// TestCheckFlagsMissingBenchmark: a baseline benchmark absent from the
+// run fails the gate instead of passing unmeasured.
+func TestCheckFlagsMissingBenchmark(t *testing.T) {
+	base := &Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkA", NsPerOp: 1000},
+		{Name: "BenchmarkGone", NsPerOp: 1000},
+	}}
+	fails := check(base, []Benchmark{{Name: "BenchmarkA", NsPerOp: 1000}}, 10)
+	if len(fails) != 1 || !strings.Contains(fails[0], "BenchmarkGone") {
+		t.Fatalf("check = %v, want one failure naming BenchmarkGone", fails)
+	}
+}
+
 // TestRunEndToEnd drives the whole pipeline: parse → baseline report →
 // second run with -baseline embedding → -check gate both passing and
 // failing.

@@ -7,8 +7,9 @@
 //	experiments [-scale full|quick] [-seed N] [-only artefact] [-workers N]
 //	            [-backend name] [-telemetry file] [-progress=false]
 //
-// The artefacts are the entries of cloudskulk.Artefacts, run in table
-// order; -only picks one by name (-h lists them). Default runs all of them.
+// The artefacts are the rows of internal/artefacts (artefacts.All), run
+// in table order; -only picks one by name (-h lists them). Default runs
+// all of them.
 //
 // -backend selects the hypervisor cost profile every testbed is built on
 // (default: the paper's kvm-i7-4790 calibration); every artefact runs
@@ -30,6 +31,7 @@ import (
 	"time"
 
 	"cloudskulk"
+	"cloudskulk/internal/artefacts"
 )
 
 func main() {
@@ -52,7 +54,7 @@ func progressPrinter(name string) func(cloudskulk.SweepProgress) {
 
 func run(args []string, stdout io.Writer) error {
 	var names []string
-	for _, a := range cloudskulk.Artefacts {
+	for _, a := range artefacts.All {
 		names = append(names, a.Name)
 	}
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
@@ -103,21 +105,21 @@ func run(args []string, stdout io.Writer) error {
 		o.Telemetry = cloudskulk.NewTelemetryRegistry()
 	}
 
-	for _, a := range cloudskulk.Artefacts {
+	for _, a := range artefacts.All {
 		if *only != "" && a.Name != *only {
 			continue
 		}
 		if *progress {
 			o.OnProgress = progressPrinter(a.Name)
 		}
-		out, err := a.Run(o, *scale == "quick")
+		res, err := a.Run(o, *scale == "quick")
 		if *progress {
 			fmt.Fprint(os.Stderr, "\r\033[K")
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", a.Name, err)
 		}
-		fmt.Fprintf(stdout, "=== %s ===\n%s\n", a.Name, out)
+		fmt.Fprintf(stdout, "=== %s ===\n%s\n", a.Name, res.Render())
 	}
 
 	if telemetry != nil {

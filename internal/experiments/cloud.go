@@ -127,18 +127,6 @@ func (o Options) resolveBackend() (hv.Backend, error) {
 	return hv.Lookup(o.Backend)
 }
 
-// mustBackend is resolveBackend for the table generators that have no
-// error return; an unknown name panics with the same typed error text.
-// cmd/experiments validates -backend up front, so this only fires on
-// misuse of the library API.
-func (o Options) mustBackend() hv.Backend {
-	b, err := hv.Lookup(o.Backend)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // Cloud is one simulated testbed: a host with a migration engine and a
 // victim VM, mirroring the paper's Fedora 22 / QEMU 2.9 machine.
 type Cloud struct {

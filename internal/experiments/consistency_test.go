@@ -31,7 +31,11 @@ func TestTablesMatchRealNesting(t *testing.T) {
 	// Noise off on both sides for exact comparison.
 	real := workload.VMContext(rk.Victim)
 	real.VCPU.Noise = 0
-	synthetic := levelContext(o, o.Seed, cpu.L2, o.GuestMemMB)
+	backend, err := o.resolveBackend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	synthetic := levelContext(o, backend.Profile, o.Seed, cpu.L2, o.GuestMemMB)
 	synthetic.VCPU.Noise = 0
 
 	ops := append(workload.ArithmeticOps(), workload.ProcessOps()...)

@@ -4,74 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"cloudskulk/internal/runner"
 	"cloudskulk/internal/telemetry"
 )
-
-// TestSweepsWorkerCountInvariant: rendered experiment output is
-// byte-identical whether a sweep runs serially or sharded across eight
-// workers — the runner only reschedules cells, it never reseeds them.
-func TestSweepsWorkerCountInvariant(t *testing.T) {
-	renderers := []struct {
-		name string
-		run  func(o Options) (string, error)
-	}{
-		{"fig2", func(o Options) (string, error) {
-			r, err := Figure2KernelCompile(o)
-			return r.Render(), err
-		}},
-		{"fig3", func(o Options) (string, error) {
-			r, err := Figure3Netperf(o)
-			return r.Render(), err
-		}},
-		{"table2", func(o Options) (string, error) {
-			return Table2Arithmetic(o).Render(), nil
-		}},
-		{"fig4", func(o Options) (string, error) {
-			r, err := Figure4Migration(o)
-			return r.Render(), err
-		}},
-		{"armsrace", func(o Options) (string, error) {
-			r, err := ArmsRaceSyncCountermeasure(o)
-			return r.Render(), err
-		}},
-		{"ablate-gap", func(o Options) (string, error) {
-			r, err := AblationTimingGap(o, []float64{4, 1.5})
-			return r.Render(), err
-		}},
-		{"ablate-ksm", func(o Options) (string, error) {
-			r, err := AblationKSMWait(o, []time.Duration{2 * time.Second, 10 * time.Second})
-			return r.Render(), err
-		}},
-		{"fleetstorm", func(o Options) (string, error) {
-			r, err := FleetMigrationStorm(o, []int{4}, []int{1, 2}, []float64{0.5})
-			return r.Render(), err
-		}},
-	}
-	for _, tc := range renderers {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			serial := TestOptions()
-			serial.Workers = 1
-			wide := TestOptions()
-			wide.Workers = 8
-			got1, err := tc.run(serial)
-			if err != nil {
-				t.Fatalf("workers=1: %v", err)
-			}
-			got8, err := tc.run(wide)
-			if err != nil {
-				t.Fatalf("workers=8: %v", err)
-			}
-			if got1 != got8 {
-				t.Fatalf("output depends on worker count:\n-- workers=1 --\n%s\n-- workers=8 --\n%s", got1, got8)
-			}
-		})
-	}
-}
 
 // TestSweepProgressReporting: OnProgress observes every cell of a sweep
 // and finishes at done == total.

@@ -144,38 +144,41 @@ func TestFigure4Shape(t *testing.T) {
 
 func TestTable2And3And4(t *testing.T) {
 	o := TestOptions()
-	t2 := Table2Arithmetic(o)
-	if len(t2.Ops) != 10 || len(t2.Nanos[cpu.L2]) != 10 {
+	t2, err := Table2Arithmetic(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(t2.Ops) != 10 || len(t2.Values[cpu.L2]) != 10 {
 		t.Fatalf("table2 = %+v", t2.Ops)
 	}
 	if !strings.Contains(t2.Render(), "integer div") {
 		t.Fatal("table2 render")
 	}
-	t3 := Table3Processes(o)
+	t3, err := Table3Processes(o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(t3.Ops) != 8 {
 		t.Fatalf("table3 ops = %d", len(t3.Ops))
 	}
 	// pipe latency L2 >> L0 in the rendered data.
-	var pipeIdx int
-	for i, op := range t3.Ops {
-		if op == "pipe latency" {
-			pipeIdx = i
-		}
-	}
-	if t3.Micros[cpu.L2][pipeIdx] < 10*t3.Micros[cpu.L0][pipeIdx] {
+	if t3.Value(cpu.L2, "pipe latency") < 10*t3.Value(cpu.L0, "pipe latency") {
 		t.Fatal("table3 lost the pipe explosion")
 	}
 	if !strings.Contains(t3.Render(), "fork+ exit") {
 		t.Fatal("table3 render")
 	}
-	t4 := Table4FileOps(o)
-	if len(t4.Labels) != 8 {
-		t.Fatalf("table4 = %d", len(t4.Labels))
+	t4, err := Table4FileOps(o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range t4.Labels {
-		r := t4.PerSec[cpu.L2][i] / t4.PerSec[cpu.L0][i]
+	if len(t4.Ops) != 8 {
+		t.Fatalf("table4 = %d", len(t4.Ops))
+	}
+	for i := range t4.Ops {
+		r := t4.Values[cpu.L2][i] / t4.Values[cpu.L0][i]
 		if r < 0.93 || r > 1.07 {
-			t.Fatalf("table4 %s L2/L0 = %.2f, want ~1", t4.Labels[i], r)
+			t.Fatalf("table4 %s L2/L0 = %.2f, want ~1", t4.Ops[i], r)
 		}
 	}
 	if !strings.Contains(t4.Render(), ",") {
@@ -241,7 +244,10 @@ func TestFigure5And6(t *testing.T) {
 }
 
 func TestAblationExitMultiplier(t *testing.T) {
-	res := AblationExitMultiplier(TestOptions(), []int{1, 9, 18, 36})
+	res, err := AblationExitMultiplier(TestOptions(), []int{1, 9, 18, 36})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.PipeL2Us) != 4 {
 		t.Fatalf("rows = %d", len(res.PipeL2Us))
 	}

@@ -8,7 +8,10 @@ import (
 	"slices"
 	"testing"
 
-	"cloudskulk"
+	"cloudskulk/internal/artefacts"
+	"cloudskulk/internal/experiments"
+	"cloudskulk/internal/hv"
+	"cloudskulk/internal/telemetry"
 )
 
 // golden pins the SHA-256 of what
@@ -26,7 +29,7 @@ import (
 // The table is the one place hashes live. Four tests split it: megastorm
 // rows, cloudload rows, rows on a non-default backend, and the rest. The
 // table sits in the external test package because it renders through
-// cloudskulk.Artefacts, which imports this package.
+// internal/artefacts, which imports this package.
 //
 // To pin a new row, leave its hash empty, run
 // `go test -run Golden ./internal/experiments` and paste the CAPTURE line
@@ -54,6 +57,20 @@ var goldens = []golden{
 	{"quick", "ablate-ksmwait", "", 1, "fbeb83f862b2225b1acd0b4fc714841e0312d9e1c7c2868f65fef782e9dd5ee0"},
 	{"quick", telemetryExport, "", 1, "8a0acfdb12287ff3892d5a6ee8c5033636c44a6c6ce2836f97497e8e76716c88"},
 	{"quick", telemetryExport, "", 7, "24520eec7f9675e825f6adb2ad13924331c55c50863c07c2725e5c1d89ac5ee0"},
+	// Captured before Tables II-IV shared one lmbench sweep and the
+	// level-context sweeps resolved their backend once per entry point.
+	{"quick", "fig2", "", 1, "c5bae72e5df614ef3477dc8cec6b7f884f58ca17abe7aada42ad6196854bdd1e"},
+	{"quick", "fig2", "", 7, "0e22c998befe761e1e8a60b39210663e93f96caa659393091d948fdad0578c74"},
+	{"quick", "fig3", "", 1, "abbf8f168a51d5334eea05297d7e0d5d2883de9019e096f72ee5aff65b4a1260"},
+	{"quick", "fig3", "", 7, "e1981f97994c851ee88fdc1f66016570e4318d71eb29014177d75279b18af5c1"},
+	{"quick", "table2", "", 1, "49c7fd380ed1295ddb61e83ad144e0e3ca504e25dbb19e9eec10d3ebe7b6c1dd"},
+	{"quick", "table2", "", 7, "d585380fa285475c8b41ccd967fd12f4465027a2ac916d696fe3cb601a5c99df"},
+	{"quick", "table3", "", 1, "66b2789b99547f905b5aaa897cdb9641738e9f13b1de9810b706d96b7dd1b07f"},
+	{"quick", "table3", "", 7, "90d945afd7637f586e98a839054e9abbf618d33efab3be0b5b295d91b441d9d1"},
+	{"quick", "table4", "", 1, "aeaaede7912ae811596eadf71bb1d49171f235095b54b088a7164a817841f804"},
+	{"quick", "table4", "", 7, "857ba21028c87f47f348c00de6be4e8a65b87b573fb5c1b8c8284c472463d8ed"},
+	// ablate-exitmult reads no seed, so a seed-7 row would repeat this one.
+	{"quick", "ablate-exitmult", "", 1, "d65e1cea23e159506c2744bb1ac306bfa4048d071a7a594bcd1181112712949b"},
 
 	// Backends move constants, not mechanics. The epyc fig4 rows equal
 	// the default's: migration timing is driven by dirty rate and
@@ -96,28 +113,22 @@ var goldens = []golden{
 // renderGolden renders one row the way cmd/experiments does.
 func renderGolden(t *testing.T, g golden, workers int) string {
 	t.Helper()
-	o := cloudskulk.QuickExperimentOptions()
+	o := experiments.TestOptions()
 	if g.scale == "full" {
-		o = cloudskulk.DefaultExperimentOptions()
+		o = experiments.DefaultOptions()
 	}
 	o.Seed, o.Workers, o.Backend = g.seed, workers, g.backend
 	run := func(name string) string {
-		for _, a := range cloudskulk.Artefacts {
-			if a.Name == name {
-				out, err := a.Run(o, g.scale == "quick")
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				return out
-			}
+		res, err := artefacts.Run(name, o, g.scale == "quick")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		t.Fatalf("no artefact %q in cloudskulk.Artefacts", name)
-		return ""
+		return res.Render()
 	}
 	if g.name != telemetryExport {
 		return run(g.name)
 	}
-	o.Telemetry = cloudskulk.NewTelemetryRegistry()
+	o.Telemetry = telemetry.NewRegistry()
 	run("fig4")
 	run("fleetstorm")
 	var b bytes.Buffer
@@ -176,8 +187,8 @@ func TestGoldenArtefactHashes(t *testing.T) {
 // registered backend must have its quick fig4 and fig6 rows pinned at
 // seeds 1 and 7, so registering a backend forces its own rows.
 func TestBackendGoldenMatrix(t *testing.T) {
-	for _, backend := range cloudskulk.Backends() {
-		if backend == cloudskulk.DefaultBackend {
+	for _, backend := range hv.Names() {
+		if backend == hv.DefaultName {
 			continue
 		}
 		for _, name := range []string{"fig4", "fig6"} {
@@ -202,4 +213,21 @@ func TestMegaStormGoldenMatrix(t *testing.T) {
 // TestCloudLoadGoldenMatrix: the full-scale cloudload rows.
 func TestCloudLoadGoldenMatrix(t *testing.T) {
 	checkGoldens(t, func(g golden) bool { return g.name == "cloudload" })
+}
+
+// TestSweepsWorkerCountInvariant: rendered experiment output is
+// byte-identical whether a sweep runs serially or sharded across eight
+// workers — the runner only reschedules cells, it never reseeds them.
+// Every golden row already renders at both worker counts; these are the
+// sweeps no row pins.
+func TestSweepsWorkerCountInvariant(t *testing.T) {
+	for _, name := range []string{"armsrace", "ablate-timinggap"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			g := golden{scale: "quick", name: name, seed: 1}
+			if got1, got8 := renderGolden(t, g, 1), renderGolden(t, g, 8); got1 != got8 {
+				t.Fatalf("output depends on worker count:\n-- workers=1 --\n%s\n-- workers=8 --\n%s", got1, got8)
+			}
+		})
+	}
 }

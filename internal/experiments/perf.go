@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"cloudskulk/internal/cpu"
+	"cloudskulk/internal/hv"
 	"cloudskulk/internal/report"
 	"cloudskulk/internal/runner"
 	"cloudskulk/internal/sim"
@@ -15,8 +17,7 @@ import (
 // the backend's calibrated model and light measurement noise. The vCPU
 // counts into o.Telemetry when one is set (SetTelemetry(nil) is the
 // detached fast path).
-func levelContext(o Options, seed int64, level cpu.Level, memMB int64) *workload.Context {
-	prof := o.mustBackend().Profile
+func levelContext(o Options, prof hv.Profile, seed int64, level cpu.Level, memMB int64) *workload.Context {
 	eng := sim.NewEngine(seed)
 	ctx := workload.HostContext(eng, prof.CPU, memMB<<20)
 	if level != cpu.L0 {
@@ -54,13 +55,14 @@ type Figure2Result struct {
 // L0/L1/L2, with ccache enabled only on L0 (the paper's footnote 1).
 func Figure2KernelCompile(o Options) (Figure2Result, error) {
 	o = o.withDefaults()
-	if _, err := o.resolveBackend(); err != nil {
+	b, err := o.resolveBackend()
+	if err != nil {
 		return Figure2Result{}, err
 	}
 	cells := levelRunCells(o.Runs)
 	secs, err := runner.Map(len(cells), o.runnerOptions(), func(i int) (float64, error) {
 		cl := cells[i]
-		ctx := levelContext(o, perRunSeed(o, cellLabel("fig2", cl.level.String()), cl.run), cl.level, o.GuestMemMB)
+		ctx := levelContext(o, b.Profile, perRunSeed(o, cellLabel("fig2", cl.level.String()), cl.run), cl.level, o.GuestMemMB)
 		k := workload.DefaultKernelCompile(cl.level == cpu.L0)
 		k.Units = o.CompileUnits
 		d, err := k.Run(ctx)
@@ -116,14 +118,15 @@ type Figure3Result struct {
 // L0/L1/L2, 5 consecutive runs averaged.
 func Figure3Netperf(o Options) (Figure3Result, error) {
 	o = o.withDefaults()
-	if _, err := o.resolveBackend(); err != nil {
+	b, err := o.resolveBackend()
+	if err != nil {
 		return Figure3Result{}, err
 	}
 	link := int64(2) << 30 // intra-host virtio path
 	cells := levelRunCells(o.Runs)
 	mbps, err := runner.Map(len(cells), o.runnerOptions(), func(i int) (float64, error) {
 		cl := cells[i]
-		ctx := levelContext(o, perRunSeed(o, cellLabel("fig3", cl.level.String()), cl.run), cl.level, 64)
+		ctx := levelContext(o, b.Profile, perRunSeed(o, cellLabel("fig3", cl.level.String()), cl.run), cl.level, 64)
 		return workload.DefaultNetperf().Run(ctx, link), nil
 	})
 	if err != nil {
@@ -162,145 +165,93 @@ func (r Figure3Result) Render() string {
 	return c.Render()
 }
 
-// lmbenchColumn is one level's measurements for a lmbench-style table:
-// operation names (identical across levels) plus one value per operation.
-type lmbenchColumn struct {
-	names []string
-	vals  []float64
-}
-
-// Table2Result holds the lmbench arithmetic table (ns per op).
-type Table2Result struct {
-	Ops   []string
-	Nanos map[cpu.Level][]float64
-}
-
-// Table2Arithmetic reproduces Table II.
-func Table2Arithmetic(o Options) Table2Result {
-	o = o.withDefaults()
-	cols, err := runner.Map(len(cpu.Levels), o.runnerOptions(), func(i int) (lmbenchColumn, error) {
-		level := cpu.Levels[i]
-		ctx := levelContext(o, perRunSeed(o, "table2", int(level)), level, 64)
-		var col lmbenchColumn
-		for _, r := range workload.RunLmbench(ctx, workload.ArithmeticOps(), o.LmbenchReps) {
-			col.names = append(col.names, r.Op.Name)
-			col.vals = append(col.vals, r.Mean.Nanoseconds())
-		}
-		return col, nil
-	})
-	if err != nil {
-		panic(err) // cells are error-free; only a cell panic reaches here
-	}
-	res := Table2Result{Ops: cols[0].names, Nanos: make(map[cpu.Level][]float64, 3)}
-	for i, level := range cpu.Levels {
-		res.Nanos[level] = cols[i].vals
-	}
-	return res
-}
-
-// Render draws Table II in the paper's layout.
-func (r Table2Result) Render() string {
-	t := report.Table{
-		Title:   "TABLE II: lmbench arithmetic operations - times in nanoseconds",
-		Headers: append([]string{"Config"}, r.Ops...),
-	}
-	for _, l := range cpu.Levels {
-		row := []string{l.String()}
-		for _, v := range r.Nanos[l] {
-			row = append(row, report.F2(v))
-		}
-		t.AddRow(row...)
-	}
-	return t.Render()
-}
-
-// Table3Result holds the lmbench process table (µs per op).
-type Table3Result struct {
+// LmbenchTable is one of the paper's lmbench tables (II-IV): one value per
+// operation at each virtualization level, in the table's unit.
+type LmbenchTable struct {
+	Title  string
 	Ops    []string
-	Micros map[cpu.Level][]float64
+	Values map[cpu.Level][]float64
+	// format renders one cell in the table's unit.
+	format func(float64) string
 }
 
-// Table3Processes reproduces Table III.
-func Table3Processes(o Options) Table3Result {
-	o = o.withDefaults()
-	cols, err := runner.Map(len(cpu.Levels), o.runnerOptions(), func(i int) (lmbenchColumn, error) {
-		level := cpu.Levels[i]
-		ctx := levelContext(o, perRunSeed(o, "table3", int(level)), level, 64)
-		var col lmbenchColumn
-		for _, r := range workload.RunLmbench(ctx, workload.ProcessOps(), o.LmbenchReps/10+1) {
-			col.names = append(col.names, r.Op.Name)
-			col.vals = append(col.vals, r.Mean.Microseconds())
-		}
-		return col, nil
-	})
-	if err != nil {
-		panic(err)
+// Value returns op's value at level l, or 0 when the table has no op of
+// that name.
+func (t LmbenchTable) Value(l cpu.Level, op string) float64 {
+	if i := slices.Index(t.Ops, op); i >= 0 {
+		return t.Values[l][i]
 	}
-	res := Table3Result{Ops: cols[0].names, Micros: make(map[cpu.Level][]float64, 3)}
-	for i, level := range cpu.Levels {
-		res.Micros[level] = cols[i].vals
-	}
-	return res
+	return 0
 }
 
-// Render draws Table III.
-func (r Table3Result) Render() string {
-	t := report.Table{
-		Title:   "TABLE III: lmbench processes - times in microseconds",
-		Headers: append([]string{"Config"}, r.Ops...),
+// Render draws the table in the paper's layout, one row per level.
+func (t LmbenchTable) Render() string {
+	tab := report.Table{
+		Title:   t.Title,
+		Headers: append([]string{"Config"}, t.Ops...),
 	}
 	for _, l := range cpu.Levels {
 		row := []string{l.String()}
-		for _, v := range r.Micros[l] {
-			row = append(row, report.F2(v))
+		for _, v := range t.Values[l] {
+			row = append(row, t.format(v))
 		}
-		t.AddRow(row...)
+		tab.AddRow(row...)
 	}
-	return t.Render()
+	return tab.Render()
 }
 
-// Table4Result holds the file-op table (operations per second).
-type Table4Result struct {
-	// PerSec[level] parallels workload.FileOps() order.
-	Labels []string
-	PerSec map[cpu.Level][]float64
-}
-
-// Table4FileOps reproduces Table IV.
-func Table4FileOps(o Options) Table4Result {
-	o = o.withDefaults()
-	cols, err := runner.Map(len(cpu.Levels), o.runnerOptions(), func(i int) (lmbenchColumn, error) {
+// lmbenchSweep is the lmbench protocol all three tables share: one cell
+// per level, seeded from label, timing every op's mean cost over reps
+// executions and converting it to the table's unit with value.
+func lmbenchSweep(o Options, label, title string, ops []cpu.Op, reps int,
+	value func(cpu.Cost) float64, format func(float64) string) (LmbenchTable, error) {
+	b, err := o.resolveBackend()
+	if err != nil {
+		return LmbenchTable{}, err
+	}
+	cols, err := runner.Map(len(cpu.Levels), o.runnerOptions(), func(i int) ([]float64, error) {
 		level := cpu.Levels[i]
-		ctx := levelContext(o, perRunSeed(o, "table4", int(level)), level, 64)
-		var col lmbenchColumn
-		for _, r := range workload.RunFileOps(ctx, o.LmbenchReps/10+1) {
-			col.names = append(col.names, r.FileOp.Op.Name)
-			col.vals = append(col.vals, r.PerSec)
+		ctx := levelContext(o, b.Profile, perRunSeed(o, label, int(level)), level, 64)
+		vals := make([]float64, 0, len(ops))
+		for _, r := range workload.RunLmbench(ctx, ops, reps) {
+			vals = append(vals, value(r.Mean))
 		}
-		return col, nil
+		return vals, nil
 	})
 	if err != nil {
-		panic(err)
+		return LmbenchTable{}, err
 	}
-	res := Table4Result{Labels: cols[0].names, PerSec: make(map[cpu.Level][]float64, 3)}
+	t := LmbenchTable{Title: title, Values: make(map[cpu.Level][]float64, len(cpu.Levels)), format: format}
+	for _, op := range ops {
+		t.Ops = append(t.Ops, op.Name)
+	}
 	for i, level := range cpu.Levels {
-		res.PerSec[level] = cols[i].vals
+		t.Values[level] = cols[i]
 	}
-	return res
+	return t, nil
 }
 
-// Render draws Table IV.
-func (r Table4Result) Render() string {
-	t := report.Table{
-		Title:   "TABLE IV: lmbench file system latency - file creations/deletions per second",
-		Headers: append([]string{"Config"}, r.Labels...),
+// Table2Arithmetic reproduces Table II: arithmetic latency in ns.
+func Table2Arithmetic(o Options) (LmbenchTable, error) {
+	o = o.withDefaults()
+	return lmbenchSweep(o, "table2", "TABLE II: lmbench arithmetic operations - times in nanoseconds",
+		workload.ArithmeticOps(), o.LmbenchReps, cpu.Cost.Nanoseconds, report.F2)
+}
+
+// Table3Processes reproduces Table III: process-op latency in µs.
+func Table3Processes(o Options) (LmbenchTable, error) {
+	o = o.withDefaults()
+	return lmbenchSweep(o, "table3", "TABLE III: lmbench processes - times in microseconds",
+		workload.ProcessOps(), o.LmbenchReps/10+1, cpu.Cost.Microseconds, report.F2)
+}
+
+// Table4FileOps reproduces Table IV: file creations/deletions per second.
+func Table4FileOps(o Options) (LmbenchTable, error) {
+	o = o.withDefaults()
+	var ops []cpu.Op
+	for _, f := range workload.FileOps() {
+		ops = append(ops, f.Op)
 	}
-	for _, l := range cpu.Levels {
-		row := []string{l.String()}
-		for _, v := range r.PerSec[l] {
-			row = append(row, report.Comma(int64(v)))
-		}
-		t.AddRow(row...)
-	}
-	return t.Render()
+	return lmbenchSweep(o, "table4", "TABLE IV: lmbench file system latency - file creations/deletions per second",
+		ops, o.LmbenchReps/10+1, workload.OpsPerSec, func(v float64) string { return report.Comma(int64(v)) })
 }

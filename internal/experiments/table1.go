@@ -102,18 +102,21 @@ type AblationExitMultiplierResult struct {
 }
 
 // AblationExitMultiplier sweeps the nested exit multiplier.
-func AblationExitMultiplier(o Options, multipliers []int) AblationExitMultiplierResult {
-	o = o.withDefaults()
+func AblationExitMultiplier(o Options, multipliers []int) (AblationExitMultiplierResult, error) {
+	b, err := o.resolveBackend()
+	if err != nil {
+		return AblationExitMultiplierResult{}, err
+	}
 	var res AblationExitMultiplierResult
 	pipe := workload.ProcessOps()[3] // pipe latency
 	for _, m := range multipliers {
-		model := o.mustBackend().Profile.CPU
+		model := b.Profile.CPU
 		model.ExitMultiplier = m
 		cost := model.Cost(pipe, cpu.L2)
 		res.Multipliers = append(res.Multipliers, m)
 		res.PipeL2Us = append(res.PipeL2Us, cost.Microseconds())
 	}
-	return res
+	return res, nil
 }
 
 // Render draws the sweep against the paper's measured 65.49 µs.

@@ -79,6 +79,15 @@ func FileOps() []FileOp {
 	}
 }
 
+// OpsPerSec converts a mean per-op latency to Table IV's unit,
+// operations per second; a zero cost reports zero.
+func OpsPerSec(c cpu.Cost) float64 {
+	if c <= 0 {
+		return 0
+	}
+	return 1e12 / float64(c) // ps -> ops/s
+}
+
 // LmbenchResult is one measured cell: the operation and its mean latency.
 type LmbenchResult struct {
 	Op   cpu.Op
@@ -94,26 +103,6 @@ func RunLmbench(ctx *Context, ops []cpu.Op, reps int) []LmbenchResult {
 			Op:   op,
 			Mean: ctx.VCPU.MeasureMean(op, reps),
 		})
-	}
-	return out
-}
-
-// FileOpResult is one Table IV cell in the paper's unit.
-type FileOpResult struct {
-	FileOp FileOp
-	PerSec float64
-}
-
-// RunFileOps measures the file-op catalogue and reports ops/second.
-func RunFileOps(ctx *Context, reps int) []FileOpResult {
-	out := make([]FileOpResult, 0, 8)
-	for _, f := range FileOps() {
-		mean := ctx.VCPU.MeasureMean(f.Op, reps)
-		persec := 0.0
-		if mean > 0 {
-			persec = 1e12 / float64(mean) // ps -> ops/s
-		}
-		out = append(out, FileOpResult{FileOp: f, PerSec: persec})
 	}
 	return out
 }

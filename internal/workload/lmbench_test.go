@@ -142,23 +142,27 @@ func TestTable3Shape(t *testing.T) {
 // "for file creation and deletion operations, both L2 performance and L1
 // performance match the baseline".
 func TestTable4FileOpsMatchBaseline(t *testing.T) {
-	at := func(level cpu.Level) []FileOpResult {
-		ctx := hostCtx(t, 1, level)
-		return RunFileOps(ctx, 5000)
+	var ops []cpu.Op
+	for _, f := range FileOps() {
+		ops = append(ops, f.Op)
+	}
+	at := func(level cpu.Level) []LmbenchResult {
+		return RunLmbench(hostCtx(t, 1, level), ops, 5000)
 	}
 	l0, l1, l2 := at(cpu.L0), at(cpu.L1), at(cpu.L2)
 	if len(l0) != 8 {
 		t.Fatalf("file ops = %d", len(l0))
 	}
 	for i := range l0 {
-		if l0[i].PerSec <= 0 {
-			t.Fatalf("zero rate for %v", l0[i].FileOp.Op.Name)
+		base := OpsPerSec(l0[i].Mean)
+		if base <= 0 {
+			t.Fatalf("zero rate for %v", l0[i].Op.Name)
 		}
-		d1 := math.Abs(l1[i].PerSec-l0[i].PerSec) / l0[i].PerSec
-		d2 := math.Abs(l2[i].PerSec-l0[i].PerSec) / l0[i].PerSec
+		d1 := math.Abs(OpsPerSec(l1[i].Mean)-base) / base
+		d2 := math.Abs(OpsPerSec(l2[i].Mean)-base) / base
 		if d1 > 0.05 || d2 > 0.05 {
 			t.Fatalf("%s deviates L1 %.1f%% L2 %.1f%% from baseline",
-				l0[i].FileOp.Op.Name, d1*100, d2*100)
+				l0[i].Op.Name, d1*100, d2*100)
 		}
 	}
 }
