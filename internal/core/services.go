@@ -7,7 +7,6 @@ import (
 
 	"cloudskulk/internal/mem"
 	"cloudskulk/internal/qemu"
-	"cloudskulk/internal/sim"
 	"cloudskulk/internal/vnet"
 )
 
@@ -52,24 +51,15 @@ func (s *Sniffer) Packets() []*vnet.Packet {
 	return append([]*vnet.Packet(nil), s.packets...)
 }
 
-// PayloadsTo returns captured payloads destined for the given final port —
-// e.g. 22 for the keystroke log of an SSH session. Stream segments are
-// unframed to their application bytes; stream control segments (SYN/FIN)
-// are skipped.
+// PayloadsTo returns the raw payload of every captured packet destined
+// for the given final port — e.g. 22 for the keystroke log of an SSH
+// session.
 func (s *Sniffer) PayloadsTo(port int) [][]byte {
 	var out [][]byte
 	for _, p := range s.packets {
-		if p.To.Port != port {
-			continue
+		if p.To.Port == port {
+			out = append(out, append([]byte(nil), p.Payload...))
 		}
-		if data, ok := vnet.StreamPayload(p); ok {
-			out = append(out, append([]byte(nil), data...))
-			continue
-		}
-		if _, isStream, _ := vnet.ClassifySegment(p); isStream {
-			continue // stream control traffic
-		}
-		out = append(out, append([]byte(nil), p.Payload...))
 	}
 	return out
 }
@@ -220,62 +210,13 @@ func (rk *Rootkit) MirrorRange(from, n int) error {
 	return nil
 }
 
-// MirrorSync is the paper's §VI-D countermeasure discussion made concrete:
-// the attacker periodically polls a region of the victim's memory and
-// propagates any change into the RITM's impersonating copy, hoping to keep
-// t2 fast even after the guest edits its pages. Its cost is explicit:
-// every poll reads the whole tracked region.
-type MirrorSync struct {
-	ticker       *sim.Ticker
-	pagesScanned uint64
-	pagesCopied  uint64
-	interval     time.Duration
-	regionPages  int
-}
-
-// StartMirrorSync begins polling victim pages [victimAt, victimAt+n),
-// copying changed pages into the RITM at [ritmAt, ritmAt+n), every
-// interval. Stop it when done.
-func (rk *Rootkit) StartMirrorSync(victimAt, n, ritmAt int, interval time.Duration) *MirrorSync {
-	ms := &MirrorSync{interval: interval, regionPages: n}
-	ms.ticker = sim.NewTicker(rk.Host.Engine(), interval, "cloudskulk.mirrorsync", func() {
-		for i := 0; i < n; i++ {
-			vc, err := rk.Victim.RAM().Read(victimAt + i)
-			if err != nil {
-				return
-			}
-			ms.pagesScanned++
-			rc, err := rk.RITM.RAM().Read(ritmAt + i)
-			if err != nil {
-				return
-			}
-			if vc != rc {
-				if _, err := rk.RITM.RAM().Write(ritmAt+i, vc); err != nil {
-					return
-				}
-				ms.pagesCopied++
-			}
-		}
-	})
-	return ms
-}
-
-// Stop halts the synchronizer.
-func (ms *MirrorSync) Stop() { ms.ticker.Stop() }
-
-// Overhead reports the countermeasure's cost: pages scanned and copied so
-// far, and the steady-state scan rate in pages per second.
-func (ms *MirrorSync) Overhead() (scanned, copied uint64, pagesPerSec float64) {
-	return ms.pagesScanned, ms.pagesCopied,
-		float64(ms.regionPages) / ms.interval.Seconds()
-}
-
-// WriteTrackingSync is the strong form of the §VI-D countermeasure: the
-// attacker write-protects a region of the victim's memory from the L1
+// WriteTrackingSync is the paper's §VI-D countermeasure made concrete:
+// the attacker write-protects a region of the victim's memory from the L1
 // hypervisor and propagates every change into the RITM's impersonating
-// copy the instant it happens. Evasion is perfect for the tracked region —
-// at the price of one trap per guest write there, and of hypervisor
-// modifications a code-integrity check would spot (Space.HasWriteHook).
+// copy the instant it happens, keeping t2 fast even after the guest edits
+// its pages. Evasion is perfect for the tracked region — at the price of
+// one trap per guest write there, and of hypervisor modifications a
+// code-integrity check would spot (Space.HasWriteHook).
 type WriteTrackingSync struct {
 	victim *qemu.VM
 	traps  uint64

@@ -33,8 +33,8 @@ type CapabilitySetter interface {
 // the attack itself (`migrate`). It can be used programmatically through
 // Execute or served over any net.Conn (e.g. a telnet port) via Serve.
 //
-// Command semantics live in the shared registry (commands.go); Monitor is
-// only the HMP front-end: line splitting, dispatch, and text output.
+// Command semantics live in the registry (commands.go); Monitor is only
+// the front-end: line splitting, dispatch, and text output.
 type Monitor struct {
 	vm *VM
 	// speedLimit is the migration bandwidth cap set by
@@ -79,7 +79,11 @@ func (m *Monitor) Execute(line string) (string, error) {
 		}
 		verb, args = "info "+args[0], args[1:]
 	}
-	return dispatchHMP(m, verb, args)
+	c, ok := hmpIndex[verb]
+	if !ok {
+		return "", fmt.Errorf("%w: %q", ErrUnknownCommand, verb)
+	}
+	return c.run(m, args)
 }
 
 // parseSize parses QEMU-style sizes: plain bytes or a k/m/g suffix.

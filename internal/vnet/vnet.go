@@ -145,8 +145,6 @@ type Network struct {
 
 	// maxForwardHops bounds forwarding-chain resolution.
 	maxForwardHops int
-	// seqConn numbers stream connections.
-	seqConn uint64
 
 	tel        *telemetry.Registry
 	telSent    map[string]*telemetry.Counter // per-root sent-bytes, cached

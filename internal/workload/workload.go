@@ -1,8 +1,9 @@
 // Package workload implements the guest activity the paper's evaluation
 // exercises: the Linux-kernel-compile CPU/memory workload (Fig. 2), the
-// Netperf TCP stream (Fig. 3), Filebench-style I/O, the lmbench 3.0
-// micro-benchmark catalogue (Tables II-IV), and the background page-dirtying
-// profiles that drive live-migration timing (Fig. 4).
+// Netperf TCP stream (Fig. 3), the lmbench 3.0 micro-benchmark catalogue
+// (Tables II-IV), and the background page-dirtying profiles — idle,
+// Filebench-style I/O, kernel compile — that drive live-migration timing
+// (Fig. 4).
 package workload
 
 import (

@@ -232,44 +232,3 @@ func TestNetperfChargesTime(t *testing.T) {
 		t.Fatalf("netperf charged %v", elapsed)
 	}
 }
-
-func TestFilebenchRuns(t *testing.T) {
-	_, ctx := vmCtx(t, 1, 64)
-	ops, err := DefaultFilebench().Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ops < 1000 {
-		t.Fatalf("filebench = %v ops/s, implausibly low", ops)
-	}
-	st, _ := ctx.VM.BlockStatsFor(0)
-	if st.RdBytes == 0 || st.WrBytes == 0 {
-		t.Fatalf("blockstats = %+v", st)
-	}
-	if ctx.RAM.DirtyCount() == 0 {
-		t.Fatal("filebench did not dirty page cache")
-	}
-}
-
-func TestFilebenchSlowerWhenNested(t *testing.T) {
-	opsAt := func(level cpu.Level) float64 {
-		ctx := hostCtx(t, 7, level)
-		ops, err := Filebench{Ops: 2000, FileKB: 4}.Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ops
-	}
-	l0, l2 := opsAt(cpu.L0), opsAt(cpu.L2)
-	if l2 >= l0 {
-		t.Fatalf("nested filebench (%v) not slower than native (%v)", l2, l0)
-	}
-}
-
-func TestFilebenchNoRAM(t *testing.T) {
-	ctx := hostCtx(t, 1, cpu.L0)
-	ctx.RAM = nil
-	if _, err := DefaultFilebench().Run(ctx); !errors.Is(err, ErrNoRAM) {
-		t.Fatalf("err = %v", err)
-	}
-}
