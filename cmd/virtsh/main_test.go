@@ -3,8 +3,6 @@ package main
 import (
 	"strings"
 	"testing"
-
-	"cloudskulk/internal/virtman"
 )
 
 func shell(t *testing.T, args []string, script string) string {
@@ -207,22 +205,19 @@ func TestScenarioStrategiesSeedBound(t *testing.T) {
 	}
 }
 
-// TestHelpListsEveryCommand: the `help` output covers every command the
-// session actually dispatches — all of virtman's domain commands plus the
-// session-level ones — so help cannot drift from the command set.
+// TestHelpListsEveryCommand: `help` prints every row of the one command
+// table, so help cannot drift from what the session dispatches.
 func TestHelpListsEveryCommand(t *testing.T) {
 	out := shell(t, nil, "help\n")
-	for _, name := range virtman.Commands() {
-		if !strings.Contains(out, name) {
-			t.Errorf("domain command %q missing from help:\n%s", name, out)
+	for _, c := range commands {
+		if !strings.Contains(out, c.usage+" ") {
+			t.Errorf("command %q missing from help:\n%s", c.usage, out)
 		}
 	}
-	for _, c := range sessionCommands {
-		if !strings.Contains(out, c.usage) {
-			t.Errorf("session command %q missing from help:\n%s", c.usage, out)
-		}
+	if n := strings.Count(out, "\n"); n != len(commands) {
+		t.Errorf("help has %d lines for %d commands:\n%s", n, len(commands), out)
 	}
-	// And quit/exit, handled before dispatch, are documented too.
+	// quit and exit end the session, so they must be rows too.
 	if !strings.Contains(out, "quit") || !strings.Contains(out, "exit") {
 		t.Errorf("session terminators missing from help:\n%s", out)
 	}
@@ -272,5 +267,34 @@ stats
 	if !strings.Contains(out, "kvm_vms_created_total 1") ||
 		!strings.Contains(out, "kvm_vms_launched_total") {
 		t.Fatalf("stats missing kvm counters:\n%s", out)
+	}
+}
+
+// TestMalformedInputNamesItsCommand: a line whose words match a row but
+// whose arguments do not fit it prints exactly one error naming that
+// row's usage, and the session carries on (even after `quit now`).
+// Unknown verbs, missing arguments and unknown domains report themselves
+// the same way.
+func TestMalformedInputNamesItsCommand(t *testing.T) {
+	for _, tc := range []struct{ line, want string }{
+		{"list --all --extra", "(usage: list [--all])"},
+		{"stats x", "(usage: stats)"},
+		{"trace x", "(usage: trace)"},
+		{"backends x", "(usage: backends)"},
+		{"quit now", "(usage: quit)"},
+		{"help me", "(usage: help)"},
+		{"frobnicate", `unknown command "frobnicate"`},
+		{"start", "(usage: start <name>)"},
+		{"define", "(usage: define <json>)"},
+		{"start ghost", `no such domain: "ghost"`},
+	} {
+		out := shell(t, nil, tc.line+"\nlist\n")
+		lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+		if len(lines) != 3 || !strings.HasPrefix(lines[0], "error: ") || !strings.Contains(lines[0], tc.want) {
+			t.Errorf("%q: want one error line containing %q, then the list table; got:\n%s", tc.line, tc.want, out)
+		}
+		if strings.Count(out, "error:") != 1 {
+			t.Errorf("%q: want exactly one error line:\n%s", tc.line, out)
+		}
 	}
 }

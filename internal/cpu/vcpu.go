@@ -8,8 +8,8 @@ import (
 )
 
 // VCPU executes modelled operations on a simulation engine, advancing
-// virtual time by each operation's cost (with measurement noise) and
-// keeping per-class accounting.
+// virtual time by each operation's cost (with measurement noise). Per-class
+// operation counts live in the telemetry registry (cpu_ops_total).
 type VCPU struct {
 	eng   *sim.Engine
 	model Model
@@ -18,9 +18,6 @@ type VCPU struct {
 	// Noise is the relative standard deviation applied per Exec batch,
 	// modelling run-to-run measurement variance. Zero means exact costs.
 	Noise float64
-
-	executed map[Class]uint64
-	busy     time.Duration
 
 	tel *vcpuTelemetry
 }
@@ -73,12 +70,7 @@ func (v *VCPU) SetTelemetry(reg *telemetry.Registry) {
 
 // NewVCPU returns a vCPU running at the given level under the given model.
 func NewVCPU(eng *sim.Engine, model Model, level Level) *VCPU {
-	return &VCPU{
-		eng:      eng,
-		model:    model,
-		level:    level,
-		executed: make(map[Class]uint64, 3),
-	}
+	return &VCPU{eng: eng, model: model, level: level}
 }
 
 // Level returns the virtualization level the vCPU runs at.
@@ -108,8 +100,6 @@ func (v *VCPU) Exec(op Op, n int) time.Duration {
 		elapsed = v.eng.GaussDuration(exact, v.Noise)
 	}
 	v.eng.Advance(elapsed)
-	v.executed[op.Class] += uint64(n)
-	v.busy += elapsed
 	if t := v.tel; t != nil && op.Class >= 0 && int(op.Class) < len(t.ops) {
 		t.ops[op.Class].Add(uint64(n))
 		e := uint64(op.Profile.Exits)*t.exitFactor + uint64(op.Profile.NestedFaults)*t.faultFactor
@@ -129,9 +119,3 @@ func (v *VCPU) MeasureMean(op Op, reps int) Cost {
 	elapsed := v.Exec(op, reps)
 	return DurationCost(elapsed) / Cost(reps)
 }
-
-// Executed returns how many operations of the class have run.
-func (v *VCPU) Executed(c Class) uint64 { return v.executed[c] }
-
-// Busy returns total virtual time this vCPU has consumed.
-func (v *VCPU) Busy() time.Duration { return v.busy }

@@ -95,7 +95,7 @@ func NewHostWithBackend(eng *sim.Engine, network *vnet.Network, name string, bac
 		eng:          eng,
 		net:          network,
 		os:           hostos.New(eng, name),
-		ksmd:         ksm.New(eng, ksm.DefaultConfig(), prof.KSM),
+		ksmd:         ksm.New(eng, prof.KSM),
 		BootTime:     prof.BootTime,
 		ZeroFraction: prof.ZeroFraction,
 		Model:        prof.CPU,

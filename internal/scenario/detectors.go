@@ -49,7 +49,7 @@ func newDetector(name string, cfg MatrixConfig) (Detector, error) {
 	case DetDedupTiming:
 		return &dedupDetector{pages: cfg.DetectPages, wait: cfg.KSMWait}, nil
 	case DetInvariantChecksum:
-		return &invariantDetector{every: cfg.AuditEvery, max: cfg.MaxAudits}, nil
+		return &invariantDetector{}, nil
 	case DetExitSkew:
 		return &skewDetector{}, nil
 	default:
@@ -91,13 +91,16 @@ func (d *dedupDetector) Scan(w *World) (Outcome, error) {
 // invariantDetector adapts the Hello-rootKitty-style checksum audit: the
 // kernel-image range of the provisioned guest is hashed at arm time, and
 // after the attack the same invariant keeps being audited against whatever
-// L0 now presents as that guest.
+// L0 now presents as that guest, once per auditEvery, at most maxAudits
+// times.
 type invariantDetector struct {
-	every time.Duration
-	max   int
-
 	inner *detect.InvariantDetector
 }
+
+const (
+	auditEvery = time.Second
+	maxAudits  = 4
+)
 
 func (d *invariantDetector) Name() string { return DetInvariantChecksum }
 
@@ -111,8 +114,8 @@ func (d *invariantDetector) Scan(w *World) (Outcome, error) {
 	d.inner.Rebind(w.AdminSpace())
 	start := eng.Now()
 	var o Outcome
-	for i := 0; i < d.max; i++ {
-		eng.RunFor(d.every)
+	for i := 0; i < maxAudits; i++ {
+		eng.RunFor(auditEvery)
 		if d.inner.Audit() {
 			o.Caught = true
 			o.TimeToDetect = eng.Now() - start

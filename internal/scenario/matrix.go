@@ -14,9 +14,6 @@ import (
 type MatrixConfig struct {
 	// Seed drives strategy generation and every cell's testbed.
 	Seed int64
-	// Strategies is how many specs Generate draws (default 5 — every kind
-	// once plus one random redraw).
-	Strategies int
 	// Backends lists the hypervisor cost profiles to sweep; empty means
 	// every registered backend.
 	Backends []string
@@ -27,12 +24,6 @@ type MatrixConfig struct {
 	DetectPages int
 	// KSMWait is the dedup protocol's scan wait.
 	KSMWait time.Duration
-	// AuditEvery / MaxAudits pace the invariant-checksum audit loop.
-	AuditEvery time.Duration
-	MaxAudits  int
-	// SettleTime runs the world between attack and scan, letting churn
-	// tickers and ksmd interleave before any detector looks.
-	SettleTime time.Duration
 	// Workers bounds the cell pool; the artefact is byte-identical for
 	// any value.
 	Workers int
@@ -40,10 +31,16 @@ type MatrixConfig struct {
 	OnProgress func(runner.Progress)
 }
 
+const (
+	// matrixStrategies is how many specs Generate draws: every kind once
+	// plus one random redraw.
+	matrixStrategies = 5
+	// settleTime runs the world between attack and scan, letting churn
+	// tickers and ksmd interleave before any detector looks.
+	settleTime = 2 * time.Second
+)
+
 func (c MatrixConfig) withDefaults() MatrixConfig {
-	if c.Strategies <= 0 {
-		c.Strategies = 5
-	}
 	if len(c.Backends) == 0 {
 		c.Backends = hv.Names()
 	}
@@ -55,15 +52,6 @@ func (c MatrixConfig) withDefaults() MatrixConfig {
 	}
 	if c.KSMWait <= 0 {
 		c.KSMWait = 2 * time.Second
-	}
-	if c.AuditEvery <= 0 {
-		c.AuditEvery = time.Second
-	}
-	if c.MaxAudits <= 0 {
-		c.MaxAudits = 4
-	}
-	if c.SettleTime <= 0 {
-		c.SettleTime = 2 * time.Second
 	}
 	return c
 }
@@ -113,7 +101,7 @@ func cellSeed(root int64, label string) int64 {
 // any worker count.
 func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 	cfg = cfg.withDefaults()
-	specs := Generate(cfg.Seed, cfg.Strategies)
+	specs := Generate(cfg.Seed, matrixStrategies)
 	dets := RosterNames()
 	n := len(cfg.Backends) * len(specs) * len(dets)
 
@@ -139,7 +127,7 @@ func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 			if err := w.Execute(); err != nil {
 				return Cell{}, fmt.Errorf("cell %s: %w", label, err)
 			}
-			w.Cloud.Eng.RunFor(cfg.SettleTime)
+			w.Cloud.Eng.RunFor(settleTime)
 			out, err := det.Scan(w)
 			w.StopChurn()
 			if err != nil {

@@ -32,7 +32,6 @@ type Engine struct {
 	rng        *rand.Rand
 	seq        uint64
 	nsteps     uint64
-	tracer     *Tracer
 }
 
 // NewEngine returns an engine whose clock starts at zero and whose random
@@ -236,11 +235,8 @@ func (e *Engine) Step() bool {
 		// Recycle before invoking: the callback may schedule again and is
 		// handed this very object back under a fresh generation, while any
 		// stale Handle to the firing just went inert.
-		name, fn := ev.name, ev.fn
+		fn := ev.fn
 		e.recycle(ev)
-		if e.tracer != nil {
-			e.tracer.Record(e.now, name)
-		}
 		fn()
 		return true
 	}

@@ -38,24 +38,14 @@ type Span struct {
 // never share it across runner workers. A nil tracer (and the nil spans
 // it hands out) is a no-op, mirroring the nil-Registry fast path.
 type SpanTracer struct {
-	eng    *sim.Engine
-	roots  []*Span
-	stack  []*Span
-	mirror *sim.Tracer
+	eng   *sim.Engine
+	roots []*Span
+	stack []*Span
 }
 
 // NewSpanTracer returns a tracer reading timestamps from eng.
 func NewSpanTracer(eng *sim.Engine) *SpanTracer {
 	return &SpanTracer{eng: eng}
-}
-
-// Mirror additionally records span start/end markers into a sim.Tracer,
-// interleaving them with raw event firings. Passing nil stops mirroring.
-func (t *SpanTracer) Mirror(tr *sim.Tracer) {
-	if t == nil {
-		return
-	}
-	t.mirror = tr
 }
 
 // Start opens a span. If another span is open it becomes the parent.
@@ -78,9 +68,6 @@ func (t *SpanTracer) Start(name string, attrs ...Attr) *Span {
 		t.roots = append(t.roots, s)
 	}
 	t.stack = append(t.stack, s)
-	if t.mirror != nil {
-		t.mirror.Record(s.Start, "span.start "+name)
-	}
 	return s
 }
 
@@ -107,9 +94,6 @@ func (s *Span) End() {
 		t.stack = t.stack[:i]
 		top.open = false
 		top.Stop = now
-		if t.mirror != nil {
-			t.mirror.Record(now, "span.end "+top.Name)
-		}
 		if top == s {
 			break
 		}

@@ -235,20 +235,4 @@ func TestNilSpanTracerIsNoOp(t *testing.T) {
 		t.Fatal("nil span tracer not a no-op")
 	}
 	st.Reset()
-	st.Mirror(nil)
-}
-
-func TestSpanMirrorsIntoSimTracer(t *testing.T) {
-	eng := sim.NewEngine(1)
-	tr := sim.NewTracer(0)
-	eng.Observe(tr)
-	st := NewSpanTracer(eng)
-	st.Mirror(tr)
-	s := st.Start("op")
-	eng.Advance(time.Millisecond)
-	s.End()
-	out := tr.String()
-	if !strings.Contains(out, "span.start op") || !strings.Contains(out, "span.end op") {
-		t.Fatalf("sim tracer missing span markers:\n%s", out)
-	}
 }

@@ -3,7 +3,6 @@ package virtman
 import (
 	"encoding/json"
 	"errors"
-	"strings"
 	"testing"
 
 	"cloudskulk/internal/kvm"
@@ -259,53 +258,5 @@ func TestManagedMigration(t *testing.T) {
 	s, _ := m.Domain("src")
 	if s.State() != StatePaused {
 		t.Fatalf("src state = %v", s.State())
-	}
-}
-
-func TestShellCommands(t *testing.T) {
-	m, _ := newManager(t)
-	run := func(line string) string {
-		t.Helper()
-		out, err := Execute(m, line)
-		if err != nil {
-			t.Fatalf("%q: %v", line, err)
-		}
-		return out
-	}
-	out := run(`define {"name":"web","memory_mb":16,"vcpus":1,"kvm":true}`)
-	if !strings.Contains(out, "Domain web defined") {
-		t.Fatalf("define out = %q", out)
-	}
-	out = run("list --all")
-	if !strings.Contains(out, "web") || !strings.Contains(out, "shut off") {
-		t.Fatalf("list out:\n%s", out)
-	}
-	run("start web")
-	out = run("list")
-	if !strings.Contains(out, "running") {
-		t.Fatalf("list after start:\n%s", out)
-	}
-	out = run("dumpjson web")
-	if !strings.Contains(out, `"memory_mb": 16`) {
-		t.Fatalf("dumpjson:\n%s", out)
-	}
-	run("suspend web")
-	run("resume web")
-	run("reboot web")
-	run("destroy web")
-	run("undefine web")
-	if out := run("list --all"); strings.Contains(out, "web") {
-		t.Fatalf("web survived:\n%s", out)
-	}
-	if out := run(""); out != "" {
-		t.Fatalf("empty line out = %q", out)
-	}
-	// Error paths surface as errors.
-	for _, bad := range []string{
-		"frobnicate", "start", "define", "start ghost", "list --all --extra",
-	} {
-		if _, err := Execute(m, bad); err == nil && bad != "list --all --extra" {
-			t.Fatalf("%q accepted", bad)
-		}
 	}
 }
