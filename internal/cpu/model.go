@@ -83,8 +83,14 @@ const (
 // levels (L3) exist in the model but are not part of the paper's sweep.
 var Levels = []Level{L0, L1, L2}
 
+// levelNames interns the names of the levels a guest can reach.
+var levelNames = [...]string{L0: "L0", L1: "L1", L2: "L2", L3: "L3"}
+
 // String returns the Turtles-style level name.
 func (l Level) String() string {
+	if l >= 0 && int(l) < len(levelNames) {
+		return levelNames[l]
+	}
 	return fmt.Sprintf("L%d", int(l))
 }
 

@@ -60,12 +60,42 @@ func (v *VCPU) SetTelemetry(reg *telemetry.Registry) {
 		t.exitFactor = uint64(per)
 		t.faultFactor = uint64(faults)
 	}
-	lvl := v.level.String()
-	for _, c := range []Class{ClassALU, ClassSyscall, ClassIO} {
-		t.ops[c] = reg.Counter(telemetry.Key("cpu_ops_total", "class", c.String(), "level", lvl))
-		t.exits[c] = reg.Counter(telemetry.Key("cpu_exits_total", "class", c.String(), "level", lvl))
+	var keys seriesKeys
+	if v.level >= 0 && int(v.level) < len(levelSeries) {
+		keys = levelSeries[v.level]
+	} else {
+		keys = newSeriesKeys(v.level)
+	}
+	for c := ClassALU; c <= ClassIO; c++ {
+		t.ops[c] = reg.Counter(keys.ops[c])
+		t.exits[c] = reg.Counter(keys.exits[c])
 	}
 	v.tel = t
+}
+
+// seriesKeys holds one level's cpu_ops_total and cpu_exits_total series
+// names, indexed by class.
+type seriesKeys struct {
+	ops, exits [ClassIO + 1]string
+}
+
+// levelSeries interns the series names of every level a guest can run
+// at (EnableNesting caps guests at L3), so SetTelemetry, which runs once
+// per VM, does no formatting.
+var levelSeries = func() (t [L3 + 1]seriesKeys) {
+	for l := range t {
+		t[l] = newSeriesKeys(Level(l))
+	}
+	return t
+}()
+
+func newSeriesKeys(l Level) seriesKeys {
+	var k seriesKeys
+	for c := ClassALU; c <= ClassIO; c++ {
+		k.ops[c] = telemetry.Key("cpu_ops_total", "class", c.String(), "level", l.String())
+		k.exits[c] = telemetry.Key("cpu_exits_total", "class", c.String(), "level", l.String())
+	}
+	return k
 }
 
 // NewVCPU returns a vCPU running at the given level under the given model.

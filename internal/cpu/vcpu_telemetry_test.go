@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -32,6 +33,44 @@ func TestVCPUTelemetryCountsOpsAndExits(t *testing.T) {
 	aluExits := reg.Counter(telemetry.Key("cpu_exits_total", "class", "alu", "level", "L2"))
 	if aluExits.Value() != 0 {
 		t.Fatalf("alu exits = %d, want 0", aluExits.Value())
+	}
+}
+
+// TestSetTelemetryInternedSeries checks the interned series names against
+// telemetry.Key at every level, inside the table and past it, and that
+// SetTelemetry on a registry that already holds them allocates only its
+// handle block.
+func TestSetTelemetryInternedSeries(t *testing.T) {
+	for _, l := range []Level{L0, L1, L2, L3, Level(5)} {
+		name := fmt.Sprintf("L%d", int(l))
+		if l.String() != name {
+			t.Fatalf("Level(%d).String() = %q, want %q", int(l), l.String(), name)
+		}
+		reg := telemetry.NewRegistry()
+		v := NewVCPU(sim.NewEngine(1), DefaultModel(), l)
+		v.SetTelemetry(reg)
+		ops := []Op{ALUOp("add", Nanos(1)), SyscallOp("pipe", Micros(1), 1, 0), IOOp("out", Micros(1), 1)}
+		for _, op := range ops {
+			v.Exec(op, 1)
+		}
+		for _, op := range ops {
+			key := telemetry.Key("cpu_ops_total", "class", op.Class.String(), "level", name)
+			if got := reg.Counter(key).Value(); got != 1 {
+				t.Fatalf("%s = %d, want 1", key, got)
+			}
+		}
+		exits := telemetry.Key("cpu_exits_total", "class", "io", "level", name)
+		if got, want := reg.Counter(exits).Value(), uint64(DefaultModel().ExitsAt(ops[2], l)); got != want {
+			t.Fatalf("%s = %d, want %d", exits, got, want)
+		}
+		if l <= L3 {
+			if allocs := testing.AllocsPerRun(20, func() { v.SetTelemetry(reg) }); allocs > 1 {
+				t.Fatalf("SetTelemetry at %v = %.0f allocs, want <= 1", l, allocs)
+			}
+		}
+	}
+	if got := Level(-1).String(); got != "L-1" {
+		t.Fatalf("Level(-1).String() = %q", got)
 	}
 }
 

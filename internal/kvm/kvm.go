@@ -102,12 +102,13 @@ func NewHostWithBackend(eng *sim.Engine, network *vnet.Network, name string, bac
 		backend:      backend,
 	}
 	h.hv = &Hypervisor{
-		host:     h,
-		os:       h.os,
-		runLevel: cpu.L0,
-		vms:      make(map[string]*qemu.VM),
-		nested:   make(map[string]*Hypervisor),
-		fwds:     make(map[string][]vnet.Addr),
+		host:       h,
+		os:         h.os,
+		runLevel:   cpu.L0,
+		vms:        make(map[string]*qemu.VM),
+		nested:     make(map[string]*Hypervisor),
+		fwds:       make(map[string][]vnet.Addr),
+		byEndpoint: make(map[string]*qemu.VM),
 	}
 	return h, nil
 }
@@ -186,6 +187,8 @@ type Hypervisor struct {
 	// fwds tracks the vnet forward sources installed per VM so Kill can
 	// remove them.
 	fwds map[string][]vnet.Addr
+	// byEndpoint indexes vms by network endpoint for FindByEndpoint.
+	byEndpoint map[string]*qemu.VM
 }
 
 var _ qemu.PortForwarder = (*Hypervisor)(nil)
@@ -221,7 +224,9 @@ func (hv *Hypervisor) hostEndpoint() string {
 // process in this hypervisor's OS, registers its RAM with the physical
 // host's KSM daemon (all guest RAM — nested included — physically lives in
 // some L0 process), and records the command in shell history. The VM is
-// returned in StateCreated; call Launch to boot it.
+// returned in StateCreated; call Launch to boot it. Every fallible step
+// runs before the process is spawned, and a failure undoes the steps
+// before it, so an error leaves the host as it was.
 func (hv *Hypervisor) CreateVM(cfg qemu.Config) (*qemu.VM, error) {
 	if _, exists := hv.vms[cfg.Name]; exists {
 		return nil, fmt.Errorf("%w: %q", ErrVMExists, cfg.Name)
@@ -229,6 +234,17 @@ func (hv *Hypervisor) CreateVM(cfg qemu.Config) (*qemu.VM, error) {
 	if cfg.MemTemplate != nil && cfg.MemTemplate.SizeBytes() != cfg.MemoryMB<<20 {
 		return nil, fmt.Errorf("kvm: create vm %q: template %q holds %d MB, config wants %d MB",
 			cfg.Name, cfg.MemTemplate.Name(), cfg.MemTemplate.SizeBytes()>>20, cfg.MemoryMB)
+	}
+	// The QEMU process binds its -incoming port on whatever machine it
+	// runs on: the physical host for L1 guests, the enclosing VM for
+	// nested guests ("ROOTKIT PORT BBBB" in the paper).
+	var incoming vnet.Addr
+	if hv.host.migration != nil && cfg.Incoming != "" {
+		port, err := qemu.ParseIncomingPort(cfg.Incoming)
+		if err != nil {
+			return nil, err
+		}
+		incoming = vnet.Addr{Endpoint: hv.hostEndpoint(), Port: port}
 	}
 	// Nested guests live in their host guest's network namespace, so
 	// their endpoints are scoped by it. This is also what lets the
@@ -248,27 +264,42 @@ func (hv *Hypervisor) CreateVM(cfg qemu.Config) (*qemu.VM, error) {
 	}
 	vm := qemu.NewVM(hv.host.eng, cfg, hv.host.Model, hv.GuestLevel(), endpoint)
 	vm.VCPU().Noise = hv.host.backend.Profile.VCPUNoise
-	if hv.host.tel != nil {
-		vm.SetTelemetry(hv.host.tel)
-		vm.VCPU().SetTelemetry(hv.host.tel)
-		hv.host.tel.Counter("kvm_vms_created_total").Inc()
+	fail := func(err error) (*qemu.VM, error) {
+		hv.dropFwds(cfg.Name)
+		hv.host.net.RemoveEndpoint(endpoint)
+		return nil, err
 	}
 
 	// Configured host forwards.
 	for _, nd := range cfg.NetDevs {
 		for _, rule := range nd.HostFwds {
 			if err := hv.installFwd(vm, rule); err != nil {
-				hv.host.net.RemoveEndpoint(endpoint)
-				return nil, err
+				return fail(err)
 			}
 		}
 	}
+	if hv.host.migration != nil && cfg.Incoming != "" {
+		if err := hv.host.migration.RegisterIncoming(vm, incoming); err != nil {
+			return fail(err)
+		}
+		if err := hv.host.net.Listen(incoming, func(*vnet.Packet) {}); err != nil {
+			hv.host.migration.UnregisterIncoming(incoming)
+			return fail(fmt.Errorf("kvm: incoming listener: %w", err))
+		}
+	}
 
-	// Backing process in the hosting OS, visible to `ps -ef`.
-	proc := hv.os.Spawn("root", cfg.CommandLine())
+	if hv.host.tel != nil {
+		vm.SetTelemetry(hv.host.tel)
+		vm.VCPU().SetTelemetry(hv.host.tel)
+		hv.host.tel.Counter("kvm_vms_created_total").Inc()
+	}
+	// Backing process in the hosting OS, visible to `ps -ef`, and the
+	// same command in shell history: rendered once.
+	cmdline := cfg.CommandLine()
+	proc := hv.os.Spawn("root", cmdline)
 	proc.Annotations["vm"] = cfg.Name
 	vm.SetPID(proc.PID)
-	hv.os.AppendHistory(cfg.CommandLine())
+	hv.os.AppendHistory(cmdline)
 
 	// Physical residence: register with the L0 host's KSM scanner.
 	hv.host.ksmd.Register(vm.RAM())
@@ -276,27 +307,20 @@ func (hv *Hypervisor) CreateVM(cfg qemu.Config) (*qemu.VM, error) {
 	if hv.host.migration != nil {
 		vm.SetMigrator(hv.host.migration)
 		hv.host.migration.RegisterVM(vm, hv.hostEndpoint())
-		if cfg.Incoming != "" {
-			port, err := qemu.ParseIncomingPort(cfg.Incoming)
-			if err != nil {
-				return nil, err
-			}
-			// The QEMU process binds the port on whatever machine it
-			// runs on: the physical host for L1 guests, the enclosing
-			// VM for nested guests ("ROOTKIT PORT BBBB" in the paper).
-			addr := vnet.Addr{Endpoint: hv.hostEndpoint(), Port: port}
-			if err := hv.host.migration.RegisterIncoming(vm, addr); err != nil {
-				return nil, err
-			}
-			if err := hv.host.net.Listen(addr, func(*vnet.Packet) {}); err != nil {
-				return nil, fmt.Errorf("kvm: incoming listener: %w", err)
-			}
-		}
 	}
 	vm.SetPortForwarder(hv)
 
 	hv.vms[cfg.Name] = vm
+	hv.byEndpoint[endpoint] = vm
 	return vm, nil
+}
+
+// dropFwds removes every host forward installed for the named VM.
+func (hv *Hypervisor) dropFwds(name string) {
+	for _, from := range hv.fwds[name] {
+		hv.host.net.RemoveForward(from)
+	}
+	delete(hv.fwds, name)
 }
 
 func (hv *Hypervisor) installFwd(vm *qemu.VM, rule qemu.FwdRule) error {
@@ -346,7 +370,7 @@ func (hv *Hypervisor) Launch(name string) error {
 	if err := vm.Boot(hv.host.BootTime, hv.host.eng.RNG(), hv.host.ZeroFraction); err != nil {
 		return err
 	}
-	hv.host.tel.Counter(telemetry.Key("kvm_vms_launched_total", "level", hv.GuestLevel().String())).Inc()
+	hv.host.tel.Counter(launchedKeys[hv.GuestLevel()]).Inc()
 	if hv.insideVM != nil && !hv.SoftwareMMU {
 		rng := hv.host.eng.RNG()
 		ram := hv.insideVM.RAM()
@@ -361,6 +385,15 @@ func (hv *Hypervisor) Launch(name string) error {
 	}
 	return nil
 }
+
+// launchedKeys interns kvm_vms_launched_total{level=…} for every level a
+// guest can run at (EnableNesting caps guests at L3).
+var launchedKeys = func() (k [cpu.L3 + 1]string) {
+	for l := range k {
+		k[l] = telemetry.Key("kvm_vms_launched_total", "level", cpu.Level(l).String())
+	}
+	return k
+}()
 
 // Reboot resets and re-boots a running guest. The backing QEMU process,
 // its network identity, forwards, and — crucially for CloudSkulk — any
@@ -402,10 +435,7 @@ func (hv *Hypervisor) Kill(name string) error {
 		}
 		delete(hv.nested, name)
 	}
-	for _, from := range hv.fwds[name] {
-		hv.host.net.RemoveForward(from)
-	}
-	delete(hv.fwds, name)
+	hv.dropFwds(name)
 	if cfg := vm.Config(); cfg.Incoming != "" && hv.host.migration != nil {
 		if port, err := qemu.ParseIncomingPort(cfg.Incoming); err == nil {
 			addr := vnet.Addr{Endpoint: hv.hostEndpoint(), Port: port}
@@ -422,6 +452,7 @@ func (hv *Hypervisor) Kill(name string) error {
 		_ = hv.os.Kill(vm.PID())
 	}
 	delete(hv.vms, name)
+	delete(hv.byEndpoint, vm.Endpoint())
 	return nil
 }
 
@@ -468,13 +499,14 @@ func (hv *Hypervisor) EnableNesting(name string) (*Hypervisor, error) {
 		return inner, nil
 	}
 	inner := &Hypervisor{
-		host:     hv.host,
-		insideVM: vm,
-		os:       hostos.New(hv.host.eng, name),
-		runLevel: hv.GuestLevel(),
-		vms:      make(map[string]*qemu.VM),
-		nested:   make(map[string]*Hypervisor),
-		fwds:     make(map[string][]vnet.Addr),
+		host:       hv.host,
+		insideVM:   vm,
+		os:         hostos.New(hv.host.eng, name),
+		runLevel:   hv.GuestLevel(),
+		vms:        make(map[string]*qemu.VM),
+		nested:     make(map[string]*Hypervisor),
+		fwds:       make(map[string][]vnet.Addr),
+		byEndpoint: make(map[string]*qemu.VM),
 	}
 	hv.nested[name] = inner
 	hv.host.tel.Counter("kvm_nesting_enabled_total").Inc()
@@ -490,15 +522,16 @@ func (hv *Hypervisor) Nested(name string) (*Hypervisor, bool) {
 // FindByEndpoint searches this hypervisor's guests and their nested
 // guests for the VM owning a network endpoint — how an operator maps "the
 // machine answering on this port" back to a VM, forwarding chains and all.
+// Each level answers from its endpoint index; endpoints are unique on the
+// fabric, so at most one level holds a match and the order the nested
+// hypervisors are tried in cannot change the answer.
 func (hv *Hypervisor) FindByEndpoint(endpoint string) (*qemu.VM, bool) {
-	for name, vm := range hv.vms {
-		if vm.Endpoint() == endpoint {
-			return vm, true
-		}
-		if inner, ok := hv.nested[name]; ok {
-			if found, ok := inner.FindByEndpoint(endpoint); ok {
-				return found, true
-			}
+	if vm, ok := hv.byEndpoint[endpoint]; ok {
+		return vm, true
+	}
+	for _, inner := range hv.nested {
+		if found, ok := inner.FindByEndpoint(endpoint); ok {
+			return found, true
 		}
 	}
 	return nil, false

@@ -25,9 +25,8 @@
 package telemetry
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 	//detlint:allow goroutine — registry creation lock only; all metric updates are commutative atomics, so totals are interleaving-invariant
 	"sync"
 	"sync/atomic"
@@ -60,17 +59,24 @@ func Key(name string, kv ...string) string {
 	if len(kv) == 0 {
 		return name
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
+	n := len(name) + 2
+	for _, s := range kv {
+		n += len(s) + 4
+	}
+	b := make([]byte, 0, n)
+	b = append(b, name...)
+	b = append(b, '{')
 	for i := 0; i+1 < len(kv); i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", kv[i], kv[i+1])
+		b = append(b, kv[i]...)
+		b = append(b, '=')
+		// strconv's quoting is exactly what fmt's %q does to a string.
+		b = strconv.AppendQuote(b, kv[i+1])
 	}
-	b.WriteByte('}')
-	return b.String()
+	b = append(b, '}')
+	return string(b)
 }
 
 // Counter is a monotonically increasing uint64.

@@ -22,6 +22,53 @@ func TestKey(t *testing.T) {
 	}
 }
 
+// keyOracle is the fmt-based formula Key replaced.
+func keyOracle(name string, kv ...string) string {
+	if len(kv) == 0 {
+		return name
+	}
+	var b strings.Builder
+	b.WriteString(name)
+	b.WriteByte('{')
+	for i := 0; i+1 < len(kv); i += 2 {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s=%q", kv[i], kv[i+1])
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+func TestKeyMatchesFmtQuote(t *testing.T) {
+	for _, kv := range [][]string{
+		nil,
+		{"level", "L1"},
+		{"class", "io", "level", "L2"},
+		{"quote", `say "hi"`},
+		{"backslash", `C:\vm\disk`},
+		{"newline", "a\nb\tc\r"},
+		{"unicode", "héllo, 世界 ☃"},
+		{"invalid", "\xff\xfe ok \xc3"},
+		{"control", "\x00\x7f\u2028"},
+		{"empty", ""},
+		{"odd", "one", "dangling"},
+	} {
+		if got, want := Key("m_total", kv...), keyOracle("m_total", kv...); got != want {
+			t.Errorf("Key(%q) = %s, want %s", kv, got, want)
+		}
+	}
+}
+
+func BenchmarkKey(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if Key("cpu_exits_total", "class", "syscall", "level", "L2") == "" {
+			b.Fatal("empty key")
+		}
+	}
+}
+
 func TestCounterGaugeHistogram(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
